@@ -82,27 +82,30 @@ pub enum Op {
 }
 
 impl Formula {
-    /// All cell addresses this formula references directly (used for static
-    /// cycle rejection).
+    /// All cell addresses this formula references directly, collected from
+    /// [`Formula::for_each_ref`].
     pub fn references(&self) -> Vec<Addr> {
         let mut out = Vec::new();
-        self.collect_refs(&mut out);
+        self.for_each_ref(&mut |a| out.push(a));
         out
     }
 
-    fn collect_refs(&self, out: &mut Vec<Addr>) {
+    /// Calls `visit` on every cell address this formula references
+    /// directly, in source order, enumerating `SUM` ranges in place — the
+    /// allocation-free feed for static cycle rejection.
+    pub fn for_each_ref(&self, visit: &mut impl FnMut(Addr)) {
         match self {
             Formula::Num(_) => {}
-            Formula::Ref(a) => out.push(*a),
+            Formula::Ref(a) => visit(*a),
             Formula::Bin { lhs, rhs, .. } => {
-                lhs.collect_refs(out);
-                rhs.collect_refs(out);
+                lhs.for_each_ref(visit);
+                rhs.for_each_ref(visit);
             }
-            Formula::Neg(e) => e.collect_refs(out),
+            Formula::Neg(e) => e.for_each_ref(visit),
             Formula::Sum { from, to } => {
                 for col in from.col..=to.col {
                     for row in from.row..=to.row {
-                        out.push(Addr::new(col, row));
+                        visit(Addr::new(col, row));
                     }
                 }
             }

@@ -11,6 +11,7 @@
 
 use crate::addr::Addr;
 use crate::formula::{CellValue, Formula, Op};
+use alphonse::fxhash::FxHashMap;
 use alphonse::{Memo, Runtime, Var};
 use alphonse_mem as mem;
 use std::fmt;
@@ -23,8 +24,9 @@ pub enum SheetError {
     OutOfBounds(Addr),
     /// Formula text failed to parse.
     Parse(String),
-    /// The new formula would create a reference cycle through the named
-    /// cell.
+    /// The edit would create a reference cycle. Names the edited cell on
+    /// that cycle that was submitted first, so a given edit against a given
+    /// sheet always names the same cell.
     Cycle(Addr),
 }
 
@@ -157,13 +159,11 @@ impl Sheet {
     ///
     /// Returns [`SheetError`] on out-of-bounds addresses or cycles.
     pub fn set_formula(&self, addr: Addr, formula: Formula) -> Result<(), SheetError> {
-        let var = {
-            let cells = &self.cells;
-            let idx = cells.index(addr).ok_or(SheetError::OutOfBounds(addr))?;
-            cells.formulas[idx]
-        };
-        self.check_acyclic(addr, &formula)?;
-        var.set(&self.rt, formula);
+        let edit = [(addr, formula)];
+        self.check_acyclic(&edit)?;
+        let [(addr, formula)] = edit;
+        let idx = self.cells.index(addr).expect("validated above");
+        self.cells.formulas[idx].set(&self.rt, formula);
         Ok(())
     }
 
@@ -213,24 +213,12 @@ impl Sheet {
     /// # Errors
     ///
     /// Returns [`SheetError`] on out-of-bounds addresses or cycles in the
-    /// post-batch sheet; no cell is modified on error.
+    /// post-batch sheet; no cell is modified on error. A cycle error names
+    /// the edited cell on the cycle that comes first in `edits`, so the same
+    /// batch against the same sheet always reports the same cell.
     pub fn set_formulas(&self, edits: Vec<(Addr, Formula)>) -> Result<(), SheetError> {
         let _mem = mem::scope(mem::Tag::Substrate);
-        // Last-write-wins overlay: the formulas the sheet would hold after
-        // the batch, used both for validation and for cycle walks, so
-        // cross-edit cycles (A1=B1 and B1=A1 in one batch) are caught even
-        // though neither formula is stored yet.
-        let mut overlay = std::collections::HashMap::new();
-        {
-            let cells = &self.cells;
-            for (addr, formula) in &edits {
-                cells.index(*addr).ok_or(SheetError::OutOfBounds(*addr))?;
-                overlay.insert(*addr, formula.clone());
-            }
-        }
-        for (addr, formula) in &overlay {
-            self.check_acyclic_with(*addr, formula, &overlay)?;
-        }
+        self.check_acyclic(&edits)?;
         self.rt.batch(|tx| {
             let cells = &self.cells;
             for (addr, formula) in edits {
@@ -241,46 +229,68 @@ impl Sheet {
         Ok(())
     }
 
-    /// Static cycle rejection: walks the would-be dependency graph from the
-    /// new formula; reaching `addr` again means a cycle.
-    fn check_acyclic(&self, addr: Addr, formula: &Formula) -> Result<(), SheetError> {
-        self.check_acyclic_with(addr, formula, &std::collections::HashMap::new())
-    }
-
-    /// Cycle walk against the sheet with `overlay` applied on top: pending
-    /// (not yet committed) formulas shadow stored ones.
-    fn check_acyclic_with(
-        &self,
-        addr: Addr,
-        formula: &Formula,
-        overlay: &std::collections::HashMap<Addr, Formula>,
-    ) -> Result<(), SheetError> {
-        let mut visited = std::collections::HashSet::new();
-        let mut work: Vec<Addr> = formula.references();
-        while let Some(a) = work.pop() {
-            if a == addr {
-                return Err(SheetError::Cycle(addr));
-            }
-            if !visited.insert(a) {
-                continue;
-            }
-            if let Some(f) = overlay.get(&a) {
-                work.extend(f.references());
-                continue;
-            }
-            let var = {
-                let cells = &self.cells;
-                cells.index(a).map(|i| cells.formulas[i])
-            };
-            if let Some(var) = var {
-                // Untracked peek at the references, in place: cycle checking
-                // is mutator bookkeeping, and cloning the whole formula per
-                // visited cell would make every edit pay for it.
-                let refs = self.rt.untracked(|| var.with(&self.rt, |f| f.references()));
-                work.extend(refs);
-            }
+    /// Validates `edits` against the sheet they would produce: bounds, then
+    /// cycles. The stored sheet is acyclic, so any post-batch cycle runs
+    /// through an edited cell, and one iterative three-colour DFS from the
+    /// edited cells, in submission order, finds it while marking each
+    /// reachable cell once (DESIGN.md, "Sheet cycle rejection").
+    fn check_acyclic(&self, edits: &[(Addr, Formula)]) -> Result<(), SheetError> {
+        #[derive(Clone, Copy)]
+        enum Colour {
+            White,
+            /// On the DFS path, at this depth.
+            Grey(usize),
+            Black,
         }
-        Ok(())
+        let cells = &self.cells;
+        // Cell index → (post-batch formula if edited, colour): the
+        // last-write-wins overlay, joined by every cell the DFS reaches.
+        let mut marks: FxHashMap<usize, (Option<&Formula>, Colour)> =
+            FxHashMap::with_capacity_and_hasher(edits.len(), Default::default());
+        for (addr, formula) in edits {
+            let idx = cells.index(*addr).ok_or(SheetError::OutOfBounds(*addr))?;
+            marks.insert(idx, (Some(formula), Colour::White));
+        }
+        let index = |a: &Addr| cells.index(*a).expect("bounds checked above");
+        // Unvisited references of the cells on `path`; each frame owns the
+        // tail of `refs` from its start offset. The bottom segment holds the
+        // roots, reversed so they pop in submission order.
+        let mut refs: Vec<usize> = edits.iter().rev().map(|(a, _)| index(a)).collect();
+        let mut path: Vec<(usize, usize)> = Vec::new();
+        self.rt.untracked(|| loop {
+            if let Some(&(idx, start)) = path.last() {
+                if refs.len() == start {
+                    path.pop();
+                    marks.get_mut(&idx).expect("on path").1 = Colour::Black;
+                    continue;
+                }
+            }
+            let Some(idx) = refs.pop() else {
+                return Ok(());
+            };
+            let mark = marks.entry(idx).or_insert((None, Colour::White));
+            match mark.1 {
+                Colour::Black => {}
+                // `path[depth..]` is the cycle: name its first-submitted edit.
+                Colour::Grey(depth) => {
+                    let on_cycle = |a| matches!(marks[&index(a)].1, Colour::Grey(d) if d >= depth);
+                    let (addr, _) = edits
+                        .iter()
+                        .find(|(a, _)| on_cycle(a))
+                        .expect("the stored sheet is acyclic");
+                    return Err(SheetError::Cycle(*addr));
+                }
+                Colour::White => {
+                    mark.1 = Colour::Grey(path.len());
+                    path.push((idx, refs.len()));
+                    let mut push = |a| refs.extend(cells.index(a));
+                    match mark.0 {
+                        Some(f) => f.for_each_ref(&mut push),
+                        None => cells.formulas[idx].with(&self.rt, |f| f.for_each_ref(&mut push)),
+                    }
+                }
+            }
+        })
     }
 
     /// Current value of a cell.
@@ -503,6 +513,50 @@ mod tests {
         ));
         assert_eq!(s.value("A1").unwrap(), CellValue::Num(1));
         assert_eq!(s.value("B1").unwrap(), CellValue::Num(0));
+    }
+
+    #[test]
+    fn cycle_error_names_first_edited_cell_on_the_cycle() {
+        // A1 is edited first but lies on no cycle; C1 is the first edited
+        // cell on the B1 <-> C1 cycle, on every fresh sheet.
+        for _ in 0..32 {
+            let s = sheet();
+            s.set("A1", "=D1").unwrap();
+            assert_eq!(
+                s.set_bulk([("A1", "1"), ("C1", "=B1"), ("B1", "=C1+A1")]),
+                Err(SheetError::Cycle(Addr::new(2, 0)))
+            );
+        }
+    }
+
+    #[test]
+    fn deep_chain_builds_and_rejects_without_recursion() {
+        // Submitted bottom-up, so the DFS descends the whole chain through
+        // the overlay; the closing edit then walks it through stored cells.
+        const ROWS: u32 = 200_000;
+        let s = Sheet::new(&Runtime::new(), 1, ROWS);
+        let chain = (1..ROWS)
+            .rev()
+            .map(|row| {
+                let prev = Arc::new(Formula::Ref(Addr::new(0, row - 1)));
+                let one = Arc::new(Formula::Num(1));
+                (
+                    Addr::new(0, row),
+                    Formula::Bin {
+                        op: Op::Add,
+                        lhs: prev,
+                        rhs: one,
+                    },
+                )
+            })
+            .chain([(Addr::new(0, 0), Formula::Num(1))])
+            .collect();
+        s.set_formulas(chain).unwrap();
+        assert_eq!(
+            s.set_formula(Addr::new(0, 0), Formula::Ref(Addr::new(0, ROWS - 1))),
+            Err(SheetError::Cycle(Addr::new(0, 0)))
+        );
+        assert_eq!(s.value("A1").unwrap(), CellValue::Num(1));
     }
 
     #[test]
