@@ -8,7 +8,7 @@ use alphonse_mem as mem;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Bound required of memo argument vectors: they key the *argument table*
 /// of Section 4.2, so they must be hashable, comparable and clonable —
@@ -28,6 +28,12 @@ struct Entry {
     last_use: u64,
 }
 
+/// A procedure body. It receives the memo it belongs to from whoever runs
+/// it — the caller's handle on the demand path, the executor's on the
+/// propagation path — so a recursive body can call itself without the
+/// memo holding a reference to itself.
+type Body<A, R> = Box<dyn Fn(&Runtime, &Memo<A, R>, &A) -> R + Send + Sync>;
+
 pub(crate) struct MemoInner<A, R> {
     name: Arc<str>,
     strategy: Strategy,
@@ -36,8 +42,7 @@ pub(crate) struct MemoInner<A, R> {
     /// "additional pragma arguments allow the specification of … cache
     /// size, and the replacement algorithm"). `None` = unbounded.
     capacity: Option<usize>,
-    #[allow(clippy::type_complexity)]
-    f: Box<dyn Fn(&Runtime, &A) -> R + Send + Sync>,
+    f: Body<A, R>,
     /// The paper's *argument table* (Section 4.2): one dependency-graph node
     /// per distinct argument vector. FxHash-keyed: probed on every call.
     /// Locked with the same single-thread discipline as the runtime's own
@@ -54,8 +59,8 @@ pub(crate) struct MemoInner<A, R> {
     evictions: AtomicU64,
     /// Static-stratum seed applied to fresh instance nodes (see
     /// [`Memo::set_height_hint`]). Zero means "no hint". Atomic because
-    /// recursive memos are built through `Arc::new_cyclic`, so the hint
-    /// must be settable after construction through a shared handle.
+    /// the hint is set through a shared handle; only ever loaded and
+    /// stored, never read-modify-written.
     height_hint: AtomicU32,
 }
 
@@ -154,20 +159,7 @@ impl Runtime {
         strategy: Strategy,
         f: impl Fn(&Runtime, &A) -> R + Send + Sync + 'static,
     ) -> Memo<A, R> {
-        let _mem = mem::scope(mem::Tag::Memo);
-        Memo {
-            inner: Arc::new(MemoInner {
-                name: Arc::from(name),
-                strategy,
-                rt_id: self.id,
-                capacity: None,
-                f: Box::new(f),
-                table: Mutex::new(Table::default()),
-                single: OnceLock::new(),
-                evictions: AtomicU64::new(0),
-                height_hint: AtomicU32::new(0),
-            }),
-        }
+        self.new_memo(name, strategy, None, Box::new(move |rt, _, a| f(rt, a)))
     }
 
     /// Defines an incremental procedure whose cache keeps at most
@@ -190,20 +182,12 @@ impl Runtime {
         f: impl Fn(&Runtime, &A) -> R + Send + Sync + 'static,
     ) -> Memo<A, R> {
         assert!(capacity > 0, "memo cache capacity must be positive");
-        let _mem = mem::scope(mem::Tag::Memo);
-        Memo {
-            inner: Arc::new(MemoInner {
-                name: Arc::from(name),
-                strategy,
-                rt_id: self.id,
-                capacity: Some(capacity),
-                f: Box::new(f),
-                table: Mutex::new(Table::default()),
-                single: OnceLock::new(),
-                evictions: AtomicU64::new(0),
-                height_hint: AtomicU32::new(0),
-            }),
-        }
+        self.new_memo(
+            name,
+            strategy,
+            Some(capacity),
+            Box::new(move |rt, _, a| f(rt, a)),
+        )
     }
 
     /// Defines a demand-evaluated incremental procedure whose body can call
@@ -237,30 +221,41 @@ impl Runtime {
         strategy: Strategy,
         f: impl Fn(&Runtime, &Memo<A, R>, &A) -> R + Send + Sync + 'static,
     ) -> Memo<A, R> {
+        self.new_memo(name, strategy, None, Box::new(f))
+    }
+
+    fn new_memo<A: MemoArgs, R: MemoResult>(
+        &self,
+        name: &str,
+        strategy: Strategy,
+        capacity: Option<usize>,
+        f: Body<A, R>,
+    ) -> Memo<A, R> {
         let _mem = mem::scope(mem::Tag::Memo);
-        let name: Arc<str> = Arc::from(name);
-        let rt_id = self.id;
-        let inner = Arc::new_cyclic(|weak: &Weak<MemoInner<A, R>>| {
-            let weak = weak.clone();
-            MemoInner {
-                name,
+        Memo {
+            inner: Arc::new(MemoInner {
+                name: Arc::from(name),
                 strategy,
-                rt_id,
-                capacity: None,
-                f: Box::new(move |rt, a| {
-                    let me = Memo {
-                        inner: weak.upgrade().expect("memo table dropped during call"),
-                    };
-                    f(rt, &me, a)
-                }),
+                rt_id: self.id,
+                capacity,
+                f,
                 table: Mutex::new(Table::default()),
                 single: OnceLock::new(),
                 evictions: AtomicU64::new(0),
                 height_hint: AtomicU32::new(0),
-            }
-        });
-        Memo { inner }
+            }),
+        }
     }
+}
+
+/// What [`Memo::settle`] found in the argument table.
+enum Settled<A> {
+    /// An existing instance. The argument vector comes back to the caller,
+    /// which runs the body on it directly if the cache misses.
+    Existing(NodeId, A),
+    /// A just-created instance whose first execution is already booked:
+    /// the executor to run and the execution's generation.
+    Fresh(NodeId, Executor, u64),
 }
 
 impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
@@ -295,8 +290,7 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
     /// Panics if `rt` is not the runtime the memo was defined in, or if the
     /// computation turns out to be cyclic (paper restriction DET).
     pub fn call(&self, rt: &Runtime, args: A) -> R {
-        let (node, begun) = self.settle(rt, args);
-        self.finish(rt, node, begun, R::clone)
+        self.call_with(rt, args, R::clone)
     }
 
     /// Calls the procedure and hands the result to `f` by reference instead
@@ -326,19 +320,43 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
     ///
     /// As for [`Memo::call`].
     pub fn call_with<O>(&self, rt: &Runtime, args: A, f: impl FnOnce(&R) -> O) -> O {
-        let (node, begun) = self.settle(rt, args);
-        self.finish(rt, node, begun, f)
+        let read = |v: &dyn Value| f(downcast_ref::<R>(v, self.name()));
+        // Note: the paper's Algorithm 5 records the caller's dependence edge
+        // before checking consistency. We record it after the callee has
+        // settled (cache hit or completed re-execution) instead — the
+        // resulting edge set is identical, but re-entrant patterns like the
+        // AVL balance method (Section 7.3) would otherwise transiently pair
+        // a stale caller→callee edge with the fresh callee→caller one and
+        // trip cycle detection.
+        match self.settle(rt, args) {
+            Settled::Fresh(node, executor, my_gen) => {
+                let value = executor(rt);
+                rt.finish_exec_recording(node, my_gen, value, read)
+            }
+            Settled::Existing(node, args) => match rt.precall_cached(node, read) {
+                Ok(out) => out,
+                Err((read, my_gen)) => {
+                    let value = self.run(rt, &args);
+                    rt.finish_exec_recording(node, my_gen, value, read)
+                }
+            },
+        }
+    }
+
+    /// Runs the body on `args` — the user body untagged (its allocations
+    /// are workload memory) — and bills the result box to the value slab.
+    fn run(&self, rt: &Runtime, args: &A) -> Box<dyn Value> {
+        let result = (self.inner.f)(rt, self, args);
+        mem::with(mem::Tag::ValueSlab, || Box::new(result) as Box<dyn Value>)
     }
 
     /// Steps 1–2 of Algorithm 5: argument-table lookup (instantiating on a
-    /// miss). Returns the instance node plus, for a just-created instance,
-    /// its already-booked first execution (a fresh instance cannot be a
-    /// cache hit and has no pending changes to settle, so
-    /// [`Runtime::alloc_comp_begun`] books the execution inside the
-    /// allocation's own lock and [`Memo::finish`] skips the cache probe).
-    /// The call/probe counters are tallied inside the allocation /
-    /// pre-call paths, sharing their existing lock acquisitions.
-    fn settle(&self, rt: &Runtime, args: A) -> (NodeId, Option<(Executor, u64)>) {
+    /// miss). A fresh instance cannot be a cache hit and has no pending
+    /// changes to settle, so [`Runtime::alloc_comp_begun`] books its first
+    /// execution inside the allocation's own lock. The call/probe counters
+    /// are tallied inside the allocation / pre-call paths, sharing their
+    /// existing lock acquisitions.
+    fn settle(&self, rt: &Runtime, args: A) -> Settled<A> {
         assert_eq!(
             self.inner.rt_id, rt.id,
             "Memo {:?} used with a different Runtime than it was defined in",
@@ -349,37 +367,29 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
         // one atomic load (LRU stamps are pointless with one entry).
         if std::mem::size_of::<A>() == 0 {
             if let Some(&node) = self.inner.single.get() {
-                return (node, None);
+                return Settled::Existing(node, args);
             }
         }
-        let mut begun = None;
-        let node = {
+        let settled = {
             let mut table = self.inner.table();
             table.clock += 1;
             let stamp = table.clock;
             match table.map.get_mut(&args) {
                 Some(entry) => {
                     entry.last_use = stamp;
-                    entry.node
+                    Settled::Existing(entry.node, args)
                 }
                 None => {
                     let _mem = mem::scope(mem::Tag::Memo);
-                    let inner = Arc::clone(&self.inner);
+                    let me = self.clone();
                     let a = args.clone();
-                    let executor: Executor = Arc::new(move |rt| {
-                        // Run the user body untagged (its allocations are
-                        // workload memory), then bill the result box to the
-                        // value slab.
-                        let result = (inner.f)(rt, &a);
-                        mem::with(mem::Tag::ValueSlab, || Box::new(result) as Box<dyn Value>)
-                    });
-                    let (n, executor, my_gen) = rt.alloc_comp_begun(
+                    let executor: Executor = Arc::new(move |rt| me.run(rt, &a));
+                    let (n, my_gen) = rt.alloc_comp_begun(
                         Arc::clone(&self.inner.name),
                         self.inner.strategy,
-                        executor,
+                        Arc::clone(&executor),
                         self.inner.height_hint.load(Ordering::Relaxed),
                     );
-                    begun = Some((executor, my_gen));
                     table.map.insert(
                         args,
                         Entry {
@@ -387,54 +397,17 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
                             last_use: stamp,
                         },
                     );
-                    n
+                    Settled::Fresh(n, executor, my_gen)
                 }
             }
         };
-        if begun.is_some() {
+        if let Settled::Fresh(node, ..) = settled {
             self.enforce_capacity(rt, node);
+            if std::mem::size_of::<A>() == 0 {
+                let _ = self.inner.single.set(node);
+            }
         }
-        if std::mem::size_of::<A>() == 0 {
-            let _ = self.inner.single.set(node);
-        }
-        (node, begun)
-    }
-
-    /// Steps 3–4 of Algorithm 5: consult the cache, re-execute on a miss,
-    /// record the caller's dependence, and hand the typed result to `f`
-    /// in place (no `Box`, and no clone unless `f` itself clones).
-    fn finish<O>(
-        &self,
-        rt: &Runtime,
-        node: NodeId,
-        begun: Option<(Executor, u64)>,
-        f: impl FnOnce(&R) -> O,
-    ) -> O {
-        // A just-created instance cannot hit and its execution is already
-        // booked ([`Memo::settle`]): run it to completion directly.
-        if let Some((executor, my_gen)) = begun {
-            return rt.finish_exec_recording(node, &executor, my_gen, |v| {
-                f(downcast_ref::<R>(v, self.name()))
-            });
-        }
-        // `f` runs at most once; the Option lets the consistent-cache
-        // closure and the post-execution paths share it.
-        let mut f = Some(f);
-        // Note: the paper's Algorithm 5 records the caller's dependence edge
-        // before checking consistency. We record it after the callee has
-        // settled (cache hit or completed re-execution) instead — the
-        // resulting edge set is identical, but re-entrant patterns like the
-        // AVL balance method (Section 7.3) would otherwise transiently pair
-        // a stale caller→callee edge with the fresh callee→caller one and
-        // trip cycle detection.
-        let hit = rt.precall_cached(node, |v| {
-            (f.take().expect("first use of f"))(downcast_ref::<R>(v, self.name()))
-        });
-        if let Some(out) = hit {
-            return out;
-        }
-        let f = f.take().expect("cache miss: f not yet used");
-        rt.execute_recording(node, |v| f(downcast_ref::<R>(v, self.name())))
+        settled
     }
 
     /// The dependency-graph node for a given argument vector, if that
@@ -648,5 +621,116 @@ mod tests {
         assert_eq!(d.strategy(), Strategy::Demand);
         assert_eq!(e.strategy(), Strategy::Eager);
         assert_eq!(d.name(), "d");
+    }
+
+    /// `(calls, memo_probes, cache_hits, executions)` charged by `f`.
+    fn call_counts(rt: &Runtime, f: impl FnOnce()) -> (u64, u64, u64, u64) {
+        let before = rt.stats();
+        f();
+        let d = rt.stats().delta_since(&before);
+        (d.calls, d.memo_probes, d.cache_hits, d.executions)
+    }
+
+    #[test]
+    fn call_path_counts_are_exact() {
+        let rt = Runtime::new();
+        let base = rt.var(1i64);
+        let plus = rt.memo("plus", move |rt, x: &i64| base.get(rt) + x);
+        let fresh = call_counts(&rt, || assert_eq!(plus.call(&rt, 10), 11));
+        assert_eq!(fresh, (1, 1, 0, 1), "fresh instance");
+        let hit = call_counts(&rt, || assert_eq!(plus.call(&rt, 10), 11));
+        assert_eq!(hit, (1, 1, 1, 0), "cache hit");
+        base.set(&rt, 2);
+        let miss = call_counts(&rt, || assert_eq!(plus.call(&rt, 10), 12));
+        assert_eq!(miss, (1, 1, 0, 1), "miss on an existing instance");
+        // A nested call charges the inner instance on its own.
+        let plus2 = plus.clone();
+        let outer = rt.memo("outer", move |rt, x: &i64| plus2.call(rt, *x) * 2);
+        let nested = call_counts(&rt, || assert_eq!(outer.call(&rt, 10), 24));
+        assert_eq!(nested, (2, 2, 1, 1), "fresh outer over a cached inner");
+    }
+
+    #[test]
+    fn evicted_bounded_instance_counts_as_a_miss() {
+        let rt = Runtime::new();
+        let sq = rt.memo_bounded("sq", Strategy::Demand, 1, |_rt, x: &i64| x * x);
+        assert_eq!(
+            call_counts(&rt, || assert_eq!(sq.call(&rt, 2), 4)),
+            (1, 1, 0, 1)
+        );
+        assert_eq!(
+            call_counts(&rt, || assert_eq!(sq.call(&rt, 3), 9)),
+            (1, 1, 0, 1)
+        );
+        assert_eq!(sq.evictions(), 1, "the second instance evicted the first");
+        let evicted = call_counts(&rt, || assert_eq!(sq.call(&rt, 2), 4));
+        assert_eq!(evicted, (1, 1, 0, 1), "evicted instance re-executes");
+        assert_eq!(sq.instance_count(), 2, "eviction keeps the instance");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "incremental procedure selfish recursively depends on its own first \
+                    execution (violates paper restriction DET)"
+    )]
+    fn self_recursive_first_execution_panics() {
+        let rt = Runtime::new();
+        let m = rt.memo_recursive("selfish", |rt, me, &n: &u64| -> u64 { me.call(rt, n) });
+        let _ = m.call(&rt, 1);
+    }
+
+    #[test]
+    fn eager_recursive_memo_outlives_its_handle() {
+        let rt = Runtime::new();
+        let v = rt.var(1u64);
+        let runs = Arc::new(AtomicU32::new(0));
+        let r2 = Arc::clone(&runs);
+        let chain = rt.memo_recursive_with("chain", Strategy::Eager, move |rt, me, &n: &u64| {
+            r2.fetch_add(1, Ordering::Relaxed);
+            if n == 0 {
+                v.get(rt)
+            } else {
+                me.call(rt, n - 1) + 1
+            }
+        });
+        assert_eq!(chain.call(&rt, 2), 3);
+        drop(chain);
+        runs.store(0, Ordering::Relaxed);
+        v.set(&rt, 10);
+        rt.propagate();
+        assert_eq!(
+            runs.load(Ordering::Relaxed),
+            3,
+            "every instance re-executes eagerly after the handle is gone"
+        );
+    }
+
+    #[test]
+    fn dropping_the_runtime_frees_captured_state() {
+        let sentinel = Arc::new(());
+        let weak = Arc::downgrade(&sentinel);
+        {
+            let rt = Runtime::new();
+            let (s1, s2) = (Arc::clone(&sentinel), sentinel);
+            let rec = rt.memo_recursive("rec", move |rt, me, &n: &u64| {
+                let _ = &s1;
+                if n == 0 {
+                    0
+                } else {
+                    me.call(rt, n - 1) + 1
+                }
+            });
+            let plain = rt.memo_with("plain", Strategy::Eager, move |_rt, x: &u64| {
+                let _ = &s2;
+                *x
+            });
+            assert_eq!(rec.call(&rt, 3), 3);
+            assert_eq!(plain.call(&rt, 4), 4);
+            assert!(weak.upgrade().is_some());
+        }
+        assert!(
+            weak.upgrade().is_none(),
+            "runtime and handles dropped: the bodies' captures must be freed"
+        );
     }
 }

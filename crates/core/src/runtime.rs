@@ -52,8 +52,11 @@ macro_rules! emit {
 }
 
 /// The re-execution closure of an incremental procedure instance: runs the
-/// body against the runtime and returns the fresh cached value. `Send +
-/// Sync` so a session owning the closure can move between threads.
+/// body against the runtime and returns the fresh cached value. Only
+/// propagation-driven executions (and a fresh instance's first run) go
+/// through it; a demand call re-executes an existing instance by running
+/// the body in place. `Send + Sync` so a session owning the closure can
+/// move between threads.
 pub(crate) type Executor = Arc<dyn Fn(&Runtime) -> Box<dyn Value> + Send + Sync>;
 
 /// Evaluation strategy of an incremental procedure (paper Section 3.3).
@@ -154,8 +157,9 @@ pub(crate) struct Inner {
     last_accessed: Vec<u64>,
     /// Re-execution closure of each computation node (`None` for
     /// variables). A dense column rather than a side table: the executor
-    /// is fetched on *every* execution, and at graph sizes past the cache
-    /// a hash probe per execution is a guaranteed random miss.
+    /// is fetched on every propagation-driven execution, and at graph
+    /// sizes past the cache a hash probe per execution is a guaranteed
+    /// random miss.
     executors: Vec<Option<Executor>>,
     // ------------------------------------------------------------------
     // Cold out-of-line side tables, keyed by `NodeId::index()` as u32.
@@ -360,9 +364,12 @@ pub struct Runtime {
     /// Incremental call-stack depth, shadowed outside the lock so
     /// [`Runtime::in_tracked_context`] — the gate embedded hosts consult on
     /// *every* untracked location read (Section 6.1) — costs one atomic
-    /// load instead of a lock round-trip. Updated only while the lock is
-    /// held (at frame push/pop), and the runtime is not `Sync`, so a
-    /// relaxed load always observes the current thread's latest update.
+    /// load instead of a lock round-trip. Written only while the lock is
+    /// held, by [`Runtime::push_frame`] and [`Runtime::pop_frame`], so the
+    /// lock orders every update and a plain relaxed load and store (no
+    /// lock-prefixed read-modify-write) is exact. The runtime is not
+    /// `Sync`, so a relaxed load always observes the current thread's
+    /// latest update.
     exec_depth: Arc<AtomicU32>,
     /// Nonzero while a level of executors is running on the worker pool.
     /// [`Runtime::lock`] consults it on contention: during a parallel level
@@ -477,6 +484,16 @@ impl Inner {
                 self.flags[i] &= !F_ON_STACK;
             }
         }
+    }
+
+    /// A handle on computation node `n`'s re-execution closure, for the
+    /// propagation drains (the demand call path runs bodies directly).
+    fn executor(&self, n: NodeId) -> Executor {
+        Arc::clone(
+            self.executors[n.index()]
+                .as_ref()
+                .expect("computation node has an executor"),
+        )
     }
 
     /// Approximate heap bytes held by the dependency graph plus the SoA
@@ -667,15 +684,6 @@ impl Inner {
     ) -> NodeId {
         let n = self.graph.add_node();
         debug_assert_eq!(n.index(), self.values.len());
-        #[cfg(feature = "trace")]
-        let (kind, label) = (
-            if comp.is_some() {
-                NodeKind::Computation
-            } else {
-                NodeKind::Location
-            },
-            name.clone(),
-        );
         let flags = match &comp {
             None => 0,
             Some((Strategy::Demand, _)) => F_COMP,
@@ -698,12 +706,18 @@ impl Inner {
         self.stats.nodes_created += 1;
         self.stats.mem_nodes += 1;
         self.stats.mem_bytes_hwm = self.stats.mem_bytes_hwm.max(self.approx_bytes());
+        // The label is cloned back out of the name table inside the event
+        // expression, which only runs when a sink is installed.
         emit!(
             self,
             TraceEvent::NodeCreated {
                 node: n,
-                kind,
-                label
+                kind: if flags & F_COMP != 0 {
+                    NodeKind::Computation
+                } else {
+                    NodeKind::Location
+                },
+                label: self.names.get(&(n.index() as u32)).cloned(),
             }
         );
         n
@@ -1389,8 +1403,8 @@ impl Runtime {
     /// about to execute unconditionally (it cannot be a cache hit and has
     /// no pending changes to settle first), so fusing the two halves saves
     /// a lock round-trip per instance created. The caller runs the
-    /// returned executor unlocked and completes with
-    /// [`Runtime::finish_exec_recording`].
+    /// body unlocked and completes with [`Runtime::finish_exec_recording`],
+    /// passing back the returned generation.
     /// `height_hint` seeds the fresh node's evaluation priority from a
     /// statically computed stratum (see `Memo::set_height_hint`): the node
     /// starts at that height instead of 0, so the online raise step of
@@ -1403,7 +1417,7 @@ impl Runtime {
         strategy: Strategy,
         executor: Executor,
         height_hint: u32,
-    ) -> (NodeId, Executor, u64) {
+    ) -> (NodeId, u64) {
         let mut guard = self.lock();
         let inner = &mut *guard;
         inner.stats.calls += 1;
@@ -1412,8 +1426,8 @@ impl Runtime {
         if height_hint > 0 && inner.graph.set_min_height(n, height_hint) {
             inner.stats.height_seeded += 1;
         }
-        let (executor, my_gen) = self.exec_begin(inner, n);
-        (n, executor, my_gen)
+        let my_gen = self.exec_begin(inner, n);
+        (n, my_gen)
     }
 
     /// Pre-call settling plus cache consultation in (usually) one lock
@@ -1422,64 +1436,67 @@ impl Runtime {
     /// Algorithm 5 — with partitioning, only `n`'s component), runs the
     /// evaluation routine if so, then probes the cache. On a hit the
     /// caller's dependence on `n` is recorded under the same guard and `f`
-    /// runs on the cached value in place. `None` means a miss: the caller
-    /// must execute the node.
+    /// runs on the cached value in place. On a miss the execution of `n`
+    /// is booked under that same guard and `f` comes back unused with the
+    /// execution's generation: the caller runs the body unlocked and
+    /// completes with [`Runtime::finish_exec_recording`].
     ///
     /// Only the rare pending case pays more than one lock: the evaluation
     /// routine must run unlocked (it re-enters the runtime), so that path
     /// re-locks for the probe afterwards.
-    pub(crate) fn precall_cached<R>(
+    pub(crate) fn precall_cached<R, F: FnOnce(&dyn Value) -> R>(
         &self,
         n: NodeId,
-        f: impl FnOnce(&dyn Value) -> R,
-    ) -> Option<R> {
-        {
-            let mut guard = self.lock();
-            let inner = &mut *guard;
-            inner.stats.calls += 1;
-            inner.stats.memo_probes += 1;
-            let pending = if inner.evaluating {
-                false
-            } else {
-                let root = inner.partition.as_mut().map(|uf| uf.find(n));
-                match &mut inner.dirty {
-                    DirtyStore::Global(s) => !s.is_empty(),
-                    DirtyStore::Partitioned(m) => {
-                        let root = root.expect("partitioned store implies union-find");
-                        m.get(&root).is_some_and(|s| !s.is_empty())
-                    }
+        f: F,
+    ) -> Result<R, (F, u64)> {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        inner.stats.calls += 1;
+        inner.stats.memo_probes += 1;
+        let pending = if inner.evaluating {
+            false
+        } else {
+            let root = inner.partition.as_mut().map(|uf| uf.find(n));
+            match &mut inner.dirty {
+                DirtyStore::Global(s) => !s.is_empty(),
+                DirtyStore::Partitioned(m) => {
+                    let root = root.expect("partitioned store implies union-find");
+                    m.get(&root).is_some_and(|s| !s.is_empty())
                 }
-            };
-            if !pending {
-                return self.try_hit(inner, n, f);
             }
+        };
+        if pending {
+            drop(guard);
+            self.evaluate(Some(n));
+            guard = self.lock();
         }
-        self.evaluate(Some(n));
-        self.try_hit(&mut self.lock(), n, f)
+        let inner = &mut *guard;
+        self.try_hit(inner, n, f)
+            .map_err(|f| (f, self.exec_begin(inner, n)))
     }
 
     /// Cache probe under the caller's guard: runs `f` on the cached value if
     /// the computation node is consistent, without cloning it out of the
     /// cache, and — on that hit — records the caller's dependence on `n`.
-    /// Returns `None` (without calling `f` or recording anything) on a miss:
-    /// inconsistent, or consistent but evicted.
-    fn try_hit<R>(
+    /// Hands `f` back (without calling it or recording anything) on a
+    /// miss: inconsistent, or consistent but evicted.
+    fn try_hit<R, F: FnOnce(&dyn Value) -> R>(
         &self,
         inner: &mut Inner,
         n: NodeId,
-        f: impl FnOnce(&dyn Value) -> R,
-    ) -> Option<R> {
+        f: F,
+    ) -> Result<R, F> {
         let i = n.index();
         debug_assert!(inner.flags[i] & F_COMP != 0, "computation node expected");
         if inner.flags[i] & F_CONSISTENT == 0 {
-            return None;
+            return Err(f);
         }
         if inner.values[i].is_some() {
             inner.stats.cache_hits += 1;
             emit!(inner, TraceEvent::CacheHit { node: n });
             inner.record_dependence(n);
             let v = inner.values[i].as_ref().expect("checked above");
-            return Some(f(&**v));
+            return Ok(f(&**v));
         }
         // Consistent but value-less: either a self-recursive first
         // execution (DET violation — diagnose) or an evicted value
@@ -1491,33 +1508,24 @@ impl Runtime {
                 inner.name_of(n)
             );
         }
-        None
+        Err(f)
     }
 
-    /// Cache-miss tail of the memo call path: executes `n`, records the
-    /// caller's dependence on it, and runs `f` on the resulting value — the
-    /// commit, the dependence edge and the read all share the post-execution
-    /// lock. `f` sees the committed value in the common case, or the
-    /// superseded execution's uncommitted result when a nested re-execution
-    /// won the generation race (Section 7.3 re-entrancy).
-    pub(crate) fn execute_recording<R>(&self, n: NodeId, f: impl FnOnce(&dyn Value) -> R) -> R {
-        let (executor, my_gen) = self.exec_begin(&mut self.lock(), n);
-        self.finish_exec_recording(n, &executor, my_gen, f)
-    }
-
-    /// Second half of [`Runtime::execute_recording`] for callers that
-    /// already booked the execution (fresh memo instances book theirs
-    /// inside [`Runtime::alloc_comp_begun`]'s guard): runs the executor
-    /// unlocked, then finishes, records the caller's dependence and reads
-    /// the result under one final guard.
+    /// Tail of a memo execution booked by [`Runtime::alloc_comp_begun`] or
+    /// [`Runtime::precall_cached`]: given the value the body computed
+    /// unlocked, finishes the execution, records the caller's dependence on
+    /// `n` and runs `f` on the result — the commit, the dependence edge and
+    /// the read all share one guard. `f` sees the committed value in the
+    /// common case, or the superseded execution's uncommitted result when a
+    /// nested re-execution won the generation race (Section 7.3
+    /// re-entrancy).
     pub(crate) fn finish_exec_recording<R>(
         &self,
         n: NodeId,
-        executor: &Executor,
         my_gen: u64,
+        value: Box<dyn Value>,
         f: impl FnOnce(&dyn Value) -> R,
     ) -> R {
-        let value = executor(self);
         let mut guard = self.lock();
         let inner = &mut *guard;
         let (uncommitted, _) = self.exec_end(inner, n, my_gen, value);
@@ -1534,11 +1542,12 @@ impl Runtime {
     }
 
     /// First half of re-executing computation node `n` per Algorithm 5
-    /// (see [`Runtime::execute_recording`] and the evaluation loop): drops
-    /// its old dependencies, books the execution and pushes the call frame,
-    /// handing back the executor to run *outside* the lock. Takes the
-    /// caller's guard so booking can share a lock round-trip with whatever
-    /// precedes it (the dirty-node pop in the evaluation loop).
+    /// (see [`Runtime::precall_cached`] and the evaluation loop): drops its
+    /// old dependencies, books the execution and pushes the call frame,
+    /// handing back the execution's generation; the body then runs
+    /// *outside* the lock. Takes the caller's guard so booking can share a
+    /// lock round-trip with whatever precedes it (the cache probe on the
+    /// memo call path, the dirty-node pop in the evaluation loop).
     ///
     /// Re-entrant executions (an instance re-executing while an older
     /// execution of the same instance is still on the stack, as the AVL
@@ -1548,11 +1557,10 @@ impl Runtime {
     /// computed value to its caller (the `Some` case of
     /// [`Runtime::exec_end`]) but leaves cache, consistency flag and
     /// dependency edges to the fresher run.
-    fn exec_begin(&self, inner: &mut Inner, n: NodeId) -> (Executor, u64) {
-        let (executor, my_gen, frame) = self.exec_book(inner, n);
-        inner.active_stack().push(frame);
-        self.exec_depth.fetch_add(1, Ordering::Relaxed);
-        (executor, my_gen)
+    fn exec_begin(&self, inner: &mut Inner, n: NodeId) -> u64 {
+        let (my_gen, frame) = self.exec_book(inner, n);
+        self.push_frame(inner, frame);
+        my_gen
     }
 
     /// The bookkeeping half of [`Runtime::exec_begin`]: everything except
@@ -1561,7 +1569,7 @@ impl Runtime {
     /// frame to the worker that will run the executor (the frame must live
     /// on the *executing* thread's stack for dependence recording to target
     /// it); the sequential path pushes it straight onto the current stack.
-    fn exec_book(&self, inner: &mut Inner, n: NodeId) -> (Executor, u64, Frame) {
+    fn exec_book(&self, inner: &mut Inner, n: NodeId) -> (u64, Frame) {
         inner.stats.executions += 1;
         let before = inner.graph.edges_removed();
         inner.graph.remove_pred_edges(n);
@@ -1580,11 +1588,6 @@ impl Runtime {
         inner.flags[i] |= F_CONSISTENT;
         inner.on_stack_inc(i);
         inner.gens[i] = my_gen;
-        let executor = Arc::clone(
-            inner.executors[i]
-                .as_ref()
-                .expect("computation node has an executor"),
-        );
         inner.frame_epoch += 1;
         let epoch = inner.frame_epoch;
         let frame = Frame {
@@ -1607,7 +1610,7 @@ impl Runtime {
                 );
             }
         }
-        (executor, my_gen, frame)
+        (my_gen, frame)
     }
 
     /// Second half of an execution: pops the call frame and commits (or,
@@ -1627,6 +1630,15 @@ impl Runtime {
         self.exec_commit(inner, n, my_gen, value)
     }
 
+    /// Pushes a booked frame onto the current thread's call stack. The
+    /// `exec_depth` shadow is a plain load and store because the caller's
+    /// guard orders every update (see [`Runtime::exec_depth`]).
+    fn push_frame(&self, inner: &mut Inner, frame: Frame) {
+        inner.active_stack().push(frame);
+        let depth = self.exec_depth.load(Ordering::Relaxed);
+        self.exec_depth.store(depth + 1, Ordering::Relaxed);
+    }
+
     /// The frame half of [`Runtime::exec_end`]: pops the current thread's
     /// innermost frame, restores overwritten dedup stamps and drops the
     /// node's on-stack depth. Under level-parallel draining each worker
@@ -1634,7 +1646,8 @@ impl Runtime {
     /// level's barrier), so re-queued dirt never sees a dead frame.
     fn pop_frame(&self, inner: &mut Inner, n: NodeId) {
         let frame = inner.active_stack().pop().expect("frame pushed above");
-        self.exec_depth.fetch_sub(1, Ordering::Relaxed);
+        let depth = self.exec_depth.load(Ordering::Relaxed);
+        self.exec_depth.store(depth - 1, Ordering::Relaxed);
         debug_assert_eq!(frame.node, n, "call stack imbalance");
         // Restore the stamps this frame overwrote, newest first, so the
         // enclosing execution's dedup set is exactly what it was before the
@@ -1977,8 +1990,8 @@ impl Runtime {
                     Step::Idle => break,
                     Step::Continue => {}
                     Step::Execute(u) => {
-                        let (executor, my_gen) = self.exec_begin(inner, u);
-                        running = Some((u, executor, my_gen));
+                        let my_gen = self.exec_begin(inner, u);
+                        running = Some((u, inner.executor(u), my_gen));
                         break;
                     }
                 }
@@ -2073,8 +2086,8 @@ impl Runtime {
                     inner.flags[i] |= F_REQUEUE;
                     inner.dirty_succs_of(u);
                 } else {
-                    let (executor, my_gen, frame) = self.exec_book(inner, u);
-                    booked.push((u, executor, my_gen, Some(frame)));
+                    let (my_gen, frame) = self.exec_book(inner, u);
+                    booked.push((u, inner.executor(u), my_gen, Some(frame)));
                 }
             }
             let executed = booked.len() as u64;
@@ -2170,11 +2183,7 @@ impl Runtime {
                 let mut results: Vec<Box<dyn Value>> = Vec::with_capacity(booked.len());
                 for (u, executor, _, frame) in booked.iter_mut() {
                     let frame = frame.take().expect("frame booked above");
-                    {
-                        let mut inner = self.lock();
-                        inner.active_stack().push(frame);
-                    }
-                    self.exec_depth.fetch_add(1, Ordering::Relaxed);
+                    self.push_frame(&mut self.lock(), frame);
                     let value = executor(self);
                     self.pop_frame(&mut self.lock(), *u);
                     results.push(value);
@@ -2213,11 +2222,7 @@ impl Runtime {
         idx: usize,
         tx: &std::sync::mpsc::Sender<(usize, Box<dyn Value>)>,
     ) {
-        {
-            let mut inner = self.lock();
-            inner.active_stack().push(frame);
-        }
-        self.exec_depth.fetch_add(1, Ordering::Relaxed);
+        self.push_frame(&mut self.lock(), frame);
         let value = executor(self);
         self.pop_frame(&mut self.lock(), n);
         let _ = tx.send((idx, value));

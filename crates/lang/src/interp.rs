@@ -24,8 +24,8 @@ use crate::value::{ObjId, Val};
 use alphonse::trace::{ActiveTrace, TraceConfig};
 use alphonse::{Memo, Runtime, Strategy as RtStrategy};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError, Weak};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError, Weak};
 
 /// Locks one piece of interpreter state, with the same fail-stop contract
 /// the runtime uses for its own interior lock: interpreter state is only
@@ -113,14 +113,25 @@ struct Shared {
     trace: Option<ActiveTrace>,
     heap: Mutex<Heap>,
     globals: Mutex<Vec<Slot>>,
-    memos: Mutex<Vec<Option<ProcMemo>>>,
+    /// Per-procedure argument tables, created on first call and lent out
+    /// by reference (a call is one atomic load, no lock or refcount).
+    memos: Vec<OnceLock<ProcMemo>>,
     output: Mutex<String>,
     pending_error: Mutex<Option<LangError>>,
+    /// Mirrors `pending_error.is_some()`: every call checks for a pending
+    /// error, and this makes the check one relaxed load. The mutex is only
+    /// taken when an error is actually pending.
+    error_pending: AtomicBool,
     /// Instances whose cached value was committed while an error was
     /// pending — their sentinel `Nil` results must not be reused.
     poisoned: Mutex<Vec<(ProcId, Vec<Val>)>>,
+    /// Statements/expressions/calls executed so far. Interpreter state is
+    /// single-threaded (see [`Interp`]), so [`Shared::burn`] counts with a
+    /// relaxed load and store instead of a lock-prefixed read-modify-write.
     steps: AtomicU64,
-    fuel: AtomicU64,
+    /// The `steps` value fuel lasts to: the step that passes it fails with
+    /// "execution fuel exhausted".
+    fuel_limit: AtomicU64,
 }
 
 /// An executable Alphonse-L program instance.
@@ -137,6 +148,15 @@ struct Shared {
 /// let interp = Interp::new(program, Mode::Alphonse).unwrap();
 /// assert_eq!(interp.call("Double", vec![Val::Int(21)]).unwrap(), Val::Int(42));
 /// ```
+///
+/// Interpreter state is single-threaded, like the runtime's sessions: an
+/// `Interp` is used from one thread at a time, and re-entering a held
+/// piece of state panics instead of deadlocking. The step counter and the
+/// pending-error flag rely on this and are updated without
+/// read-modify-write atomics. Alphonse-L procedure bodies must therefore
+/// not run on the runtime's `parallel` worker pool: leave
+/// [`Runtime::set_parallelism`] at its default for an interpreter's
+/// runtime.
 pub struct Interp {
     shared: Arc<Shared>,
 }
@@ -210,12 +230,13 @@ impl Interp {
             trace,
             heap: Mutex::new(Heap::new()),
             globals: Mutex::new(globals),
-            memos: Mutex::new(vec![None; n_procs]),
+            memos: (0..n_procs).map(|_| OnceLock::new()).collect(),
             output: Mutex::new(String::new()),
             pending_error: Mutex::new(None),
+            error_pending: AtomicBool::new(false),
             poisoned: Mutex::new(Vec::new()),
             steps: AtomicU64::new(0),
-            fuel: AtomicU64::new(DEFAULT_FUEL),
+            fuel_limit: AtomicU64::new(DEFAULT_FUEL),
         });
         // Run global initializers in declaration order (mutator context).
         let inits: Vec<(usize, HExpr)> = shared
@@ -255,14 +276,20 @@ impl Interp {
     }
 
     /// Statements/expressions/calls executed so far — the
-    /// machine-independent `T` of the paper's Section 9.2.
+    /// machine-independent `T` of the paper's Section 9.2. Every step is
+    /// counted, including one that fails for lack of fuel. The counter is
+    /// exact under the single-threaded contract (see [`Interp`]).
     pub fn steps(&self) -> u64 {
         self.shared.steps.load(Ordering::Relaxed)
     }
 
-    /// Sets the remaining execution fuel (guards against runaway programs).
+    /// Sets the remaining execution fuel (guards against runaway programs):
+    /// the next `fuel` steps run, and the one after fails with "execution
+    /// fuel exhausted", as does every later step until fuel is set again.
+    /// The default is 500,000,000 steps from construction.
     pub fn set_fuel(&self, fuel: u64) {
-        self.shared.fuel.store(fuel, Ordering::Relaxed);
+        let limit = self.steps().saturating_add(fuel);
+        self.shared.fuel_limit.store(limit, Ordering::Relaxed);
     }
 
     /// Everything `Print` produced so far.
@@ -304,7 +331,7 @@ impl Interp {
         // Surface an error trapped inside a memoized execution (annotated
         // with its causal provenance while the failing instance still
         // exists), and forget every sentinel value it left behind.
-        let pending = lock(&self.shared.pending_error).take();
+        let pending = self.shared.take_pending_error();
         let pending = pending.map(|e| self.shared.annotate_error(e));
         self.shared.drain_poisoned();
         if let Some(e) = pending {
@@ -605,14 +632,33 @@ impl Shared {
         lock(&self.heap).alloc(ty, &field_types)
     }
 
+    /// Charges one step: one load, one store and one compare against the
+    /// fuel limit.
     fn burn(&self) -> Result<()> {
-        self.steps.fetch_add(1, Ordering::Relaxed);
-        let f = self.fuel.load(Ordering::Relaxed);
-        if f == 0 {
+        let steps = self.steps.load(Ordering::Relaxed) + 1;
+        self.steps.store(steps, Ordering::Relaxed);
+        if steps > self.fuel_limit.load(Ordering::Relaxed) {
             return Err(LangError::runtime("execution fuel exhausted"));
         }
-        self.fuel.store(f - 1, Ordering::Relaxed);
         Ok(())
+    }
+
+    fn has_pending_error(&self) -> bool {
+        self.error_pending.load(Ordering::Relaxed)
+    }
+
+    /// Records `e` as the pending error unless one is already pending.
+    fn note_error(&self, e: LangError) {
+        lock(&self.pending_error).get_or_insert(e);
+        self.error_pending.store(true, Ordering::Relaxed);
+    }
+
+    fn take_pending_error(&self) -> Option<LangError> {
+        if !self.has_pending_error() {
+            return None;
+        }
+        self.error_pending.store(false, Ordering::Relaxed);
+        lock(&self.pending_error).take()
     }
 
     /// Appends a causal provenance note to a runtime error when tracing is
@@ -631,7 +677,7 @@ impl Shared {
         let Some((pid, args)) = lock(&self.poisoned).first().cloned() else {
             return e;
         };
-        let Some(memo) = lock(&self.memos)[pid].clone() else {
+        let Some(memo) = self.memos[pid].get() else {
             return e;
         };
         let Some(n) = memo.instance_node(&args) else {
@@ -652,7 +698,7 @@ impl Shared {
         let Some(rt) = self.rt.as_ref() else { return };
         let poisoned = std::mem::take(&mut *lock(&self.poisoned));
         for (pid, args) in poisoned {
-            if let Some(memo) = lock(&self.memos)[pid].clone() {
+            if let Some(memo) = self.memos[pid].get() {
                 memo.forget(rt, &args);
             }
         }
@@ -675,8 +721,10 @@ impl Shared {
             } else {
                 memo.call(rt, args)
             };
-            let pending = lock(&self.pending_error).clone();
-            if let Some(e) = pending {
+            if self.has_pending_error() {
+                let e = lock(&self.pending_error)
+                    .clone()
+                    .expect("the flag mirrors the pending error");
                 let e = self.annotate_error(e);
                 *lock(&self.pending_error) = Some(e.clone());
                 self.drain_poisoned();
@@ -690,10 +738,11 @@ impl Shared {
 
     /// Gets or creates the memo (argument table) for an incremental
     /// procedure.
-    fn memo_for(self: &Arc<Self>, pid: ProcId) -> ProcMemo {
-        if let Some(m) = &lock(&self.memos)[pid] {
-            return m.clone();
-        }
+    fn memo_for(self: &Arc<Self>, pid: ProcId) -> &ProcMemo {
+        self.memos[pid].get_or_init(|| self.new_memo(pid))
+    }
+
+    fn new_memo(self: &Arc<Self>, pid: ProcId) -> ProcMemo {
         let info = &self.program.procs[pid];
         let (_, strategy) = info.incremental.expect("memo_for on incremental proc");
         let rt_strategy = match strategy {
@@ -707,14 +756,14 @@ impl Shared {
             let out = match shared.execute_proc(pid, args.clone()) {
                 Ok(v) => v,
                 Err(e) => {
-                    lock(&shared.pending_error).get_or_insert(e);
+                    shared.note_error(e);
                     Val::Nil
                 }
             };
             // Any value committed while an error is pending is a sentinel
             // (either this body failed, or the quick-unwind skipped it); it
             // must be forgotten before the cache can be trusted again.
-            if lock(&shared.pending_error).is_some() {
+            if shared.has_pending_error() {
                 lock(&shared.poisoned).push((pid, args.clone()));
             }
             out
@@ -726,13 +775,12 @@ impl Shared {
         // Seed instance nodes at their static stratum (experiment E2):
         // correctness-neutral, but skips the online height-raise cascade.
         memo.set_height_hint(self.static_heights[pid]);
-        lock(&self.memos)[pid] = Some(memo.clone());
         memo
     }
 
     /// Runs a procedure body in a fresh frame.
     fn execute_proc(self: &Arc<Self>, pid: ProcId, args: Vec<Val>) -> Result<Val> {
-        if lock(&self.pending_error).is_some() {
+        if self.has_pending_error() {
             // An inner memoized execution already failed; unwind quickly.
             return Ok(Val::Nil);
         }
