@@ -1,18 +1,20 @@
 //! Prints every experiment table in order (regenerates EXPERIMENTS.md data).
 //!
-//! Usage: `all_experiments [--json] [--quick] [--trace <chrome|dot|hot>] [e2 e7 ...]`
+//! Usage: `all_experiments [--json] [--quick] [--trace <1|jsonl[:path]>]
+//! [--trace-out <path>] [e2 e7 ...]`
 //!
 //! With `--json`, each table is additionally written to `BENCH_<ID>.json`
 //! in the current directory so future changes have a machine-readable perf
 //! trajectory to diff against. With `--quick`, every experiment runs on a
 //! reduced parameter set (CI smoke mode — same columns, smaller sizes).
-//! With `--trace`, every runtime the experiments build reports into the
-//! chosen trace consumer: `chrome` writes a Perfetto-loadable
-//! `TRACE_all.json`, `dot` writes the final dependency graph to
-//! `TRACE_all.dot`, `hot` prints a per-node hot-spot table (see
-//! `alphonse_bench::trace_support`). Positional arguments select a subset
-//! of experiments by id (case-insensitive), e.g.
-//! `all_experiments --json e2`.
+//! With `--trace-out <path>` (or `--trace jsonl:<path>`), every runtime the
+//! experiments build streams its events to one JSONL file, which the
+//! `alphonse-trace` CLI turns into any view: `chrome` (Perfetto spans),
+//! `dot` (the last runtime's dependency graph), `hot` (per-node hot
+//! spots), `why`, `waves` and `waste` (see `alphonse_bench::trace_support`).
+//! Positional arguments select a subset of experiments by id
+//! (case-insensitive), e.g. `all_experiments --json e2` or
+//! `all_experiments e6_sheet e6_ag`.
 use alphonse_bench::experiments as ex;
 use alphonse_bench::table::Table;
 use alphonse_bench::trace_support::TraceSession;
@@ -25,7 +27,7 @@ static ALLOC: alphonse::mem::TrackingAlloc = alphonse::mem::TrackingAlloc;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // Must come first: removes `--trace <mode>` so the mode token is not
+    // Must come first: removes `--trace <spec>` so the spec token is not
     // mistaken for an experiment-id filter below.
     let trace = TraceSession::from_args(&mut args, "all");
     let json = args.iter().any(|a| a == "--json");
@@ -36,7 +38,8 @@ fn main() {
     {
         eprintln!("unknown flag: {unknown}");
         eprintln!(
-            "usage: all_experiments [--json] [--quick] [--trace <chrome|dot|hot>] [e2 e7 ...]"
+            "usage: all_experiments [--json] [--quick] [--trace <1|jsonl[:path]>] \
+             [--trace-out <path>] [e2 e7 ...]"
         );
         std::process::exit(2);
     }

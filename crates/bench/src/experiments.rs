@@ -1284,7 +1284,7 @@ pub fn e15_parallel(workers: &[usize], width: usize, waves: usize, stall_us: u64
 /// memory accounting (`mem_*` columns): both arms run with the metrics
 /// recording left in its ambient state and toggle
 /// [`alphonse::mem::set_enabled`] instead. When the driving binary
-/// installs [`alphonse::mem::TrackingAlloc`] (the `e16_metrics_overhead`
+/// installs [`alphonse::mem::TrackingAlloc`] (the `all_experiments`
 /// binary does), both arms pay the allocator's header stamping, so
 /// `mem_overhead_pct` isolates the per-allocation relaxed counter updates
 /// the kill-switch gates — the same ≤2% bar applies. Without the
@@ -1493,7 +1493,7 @@ pub fn e16_metrics_overhead(quick: bool) -> Table {
 /// from its start to full materialization — its own high-water mark, since
 /// the structure only grows — divided by the node count. They are all zero
 /// unless the driving binary installs [`alphonse::mem::TrackingAlloc`]
-/// (the `e17_scale` and `all_experiments` binaries do).
+/// (the `all_experiments` binary does).
 pub fn e17_scale(quick: bool) -> Table {
     let mut t = Table::new(
         "E17 — million-node scale stress: bulk build throughput, wave latency, bytes/node",

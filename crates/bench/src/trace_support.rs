@@ -1,6 +1,6 @@
-//! `--trace` / `--trace-out` plumbing shared by the benchmark binaries.
+//! `--trace` / `--trace-out` plumbing for the `all_experiments` binary.
 //!
-//! The bench bins construct their runtimes internally, so a sink cannot be
+//! The experiments construct their runtimes internally, so a sink cannot be
 //! attached by hand; instead this module installs a thread-local *default*
 //! sink ([`alphonse::trace::set_default_sink`]) before the experiments run,
 //! which every runtime built afterwards picks up. The spec grammar and the
@@ -11,20 +11,17 @@
 //! | flag                  | consumer                         | artifact               |
 //! |-----------------------|----------------------------------|------------------------|
 //! | `--trace 1`           | [`alphonse::trace::Recorder`]    | event dump on stderr   |
-//! | `--trace chrome`      | [`alphonse::trace::ChromeTrace`] | `TRACE_<stem>.json`    |
-//! | `--trace dot`         | [`alphonse::trace::GraphSink`]   | `TRACE_<stem>.dot`     |
-//! | `--trace hot[:K]`     | [`alphonse::trace::Profiler`]    | top-K table on stdout  |
-//! | `--trace jsonl`       | [`alphonse::trace::JsonlSink`]   | `TRACE_<stem>.jsonl`   |
+//! | `--trace jsonl[:path]`| [`alphonse::trace::JsonlSink`]   | `TRACE_<stem>.jsonl` or `<path>` |
 //! | `--trace-out <path>`  | [`alphonse::trace::JsonlSink`]   | `<path>`               |
 //!
 //! With neither flag given, `ALPHONSE_TRACE` is consulted as a fallback, so
-//! `ALPHONSE_TRACE=trace.jsonl cargo run --bin e2_overhead` works the same
-//! as it does for the interpreter. The chrome artifact loads in Perfetto
-//! (<https://ui.perfetto.dev>); the JSONL artifact replays through the
-//! `alphonse-trace` CLI (`why` / `waves` / `waste`). When a binary runs
-//! several experiments the timeline, profiler, and JSONL stream aggregate
-//! across all of them, while the graph mirror keeps the most recently
-//! constructed runtime.
+//! `ALPHONSE_TRACE=trace.jsonl cargo run --bin all_experiments` works the
+//! same as it does for the interpreter. The JSONL artifact is the one
+//! stream every view is built from, offline, by the `alphonse-trace` CLI:
+//! `chrome` (Perfetto-loadable spans), `dot` (dependency graph), `hot`
+//! (per-node hot spots), `why`, `waves` and `waste`. When a binary runs
+//! several experiments the stream holds all of their runtimes; `dot` shows
+//! the most recently constructed one, the other views aggregate.
 
 use alphonse::trace::{self, ActiveTrace, Provenance, TraceConfig};
 use std::sync::Arc;
@@ -123,13 +120,12 @@ impl TraceSession {
         self.active.provenance()
     }
 
-    /// Uninstalls the default sink and flushes the artifact: writes
-    /// `TRACE_<stem>.json` / `.dot` / `.jsonl` into the current directory
-    /// (next to the `BENCH_*.json` files), dumps the recorder to stderr, or
-    /// prints the hot-node table.
+    /// Uninstalls the default sink and flushes the artifact: the JSONL file
+    /// (by default `TRACE_<stem>.jsonl` in the current directory, next to
+    /// the `BENCH_*.json` files), or the recorder dump on stderr.
     pub fn finish(self) {
         trace::set_default_sink(None);
-        match self.active.finish(None) {
+        match self.active.finish() {
             Ok(Some(msg)) => eprintln!("{msg}"),
             Ok(None) => {}
             Err(e) => eprintln!("warning: failed to flush trace: {e}"),
@@ -147,12 +143,12 @@ mod tests {
 
     #[test]
     fn parses_separate_and_inline_forms() {
-        let mut a = args(&["--quick", "--trace", "chrome", "e2"]);
-        assert_eq!(take_trace_flag(&mut a).unwrap().as_deref(), Some("chrome"));
+        let mut a = args(&["--quick", "--trace", "jsonl", "e2"]);
+        assert_eq!(take_trace_flag(&mut a).unwrap().as_deref(), Some("jsonl"));
         assert_eq!(a, args(&["--quick", "e2"]));
 
-        let mut b = args(&["--trace=hot"]);
-        assert_eq!(take_trace_flag(&mut b).unwrap().as_deref(), Some("hot"));
+        let mut b = args(&["--trace=1"]);
+        assert_eq!(take_trace_flag(&mut b).unwrap().as_deref(), Some("1"));
         assert!(b.is_empty());
     }
 
@@ -183,9 +179,12 @@ mod tests {
     #[test]
     fn bad_spec_is_deferred_to_config_parse() {
         // The flag parser accepts any non-empty spec; validation lives in
-        // the shared TraceConfig grammar.
+        // the shared TraceConfig grammar, which refuses the retired live
+        // views with the record-then-replay hint.
         let mut a = args(&["--trace", "flame"]);
         let spec = take_trace_flag(&mut a).unwrap().unwrap();
         assert!(TraceConfig::parse(&spec, "x").is_err());
+        let err = TraceConfig::parse("chrome", "x").unwrap_err();
+        assert!(err.contains("alphonse-trace chrome <path>"), "{err}");
     }
 }

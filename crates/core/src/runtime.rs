@@ -991,8 +991,8 @@ impl Runtime {
     /// A point-in-time copy of the dependency graph with full runtime
     /// fidelity — kind, label, consistency flag, dirty-queue membership,
     /// partition root and execution recency per node — renderable with
-    /// [`crate::trace::render_dot`]. Prefer this over
-    /// [`crate::trace::GraphSink`] while the runtime is still alive.
+    /// [`crate::trace::render_dot`]. Prefer this over the event-driven
+    /// mirror (`alphonse-trace dot`) while the runtime is still alive.
     pub fn graph_snapshot(&self) -> GraphSnapshot {
         let mut guard = self.lock();
         let inner = &mut *guard;

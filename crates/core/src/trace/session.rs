@@ -1,16 +1,19 @@
 //! Shared trace activation: one spec grammar for every entry point.
 //!
-//! The bench bins (`--trace <mode>`, `--trace-out <path>`) and the lang
-//! interpreter (`ALPHONSE_TRACE=<spec>`) used to grow divergent activation
-//! code; both now funnel through [`TraceConfig`]. The spec grammar:
+//! The bench harness (`--trace <spec>`, `--trace-out <path>`) and the lang
+//! interpreter (`ALPHONSE_TRACE=<spec>`) both funnel through
+//! [`TraceConfig`]. The spec grammar:
 //!
 //! | spec | consumer |
 //! |---|---|
 //! | `1` | stderr event dump via a bounded [`Recorder`] |
-//! | `chrome[:path]` | Chrome trace JSON (default `TRACE_<stem>.json`) |
-//! | `dot[:path]` | dependency-graph DOT (default `TRACE_<stem>.dot`) |
-//! | `hot[:K]` | top-K hot-node table from the [`Profiler`] |
-//! | `jsonl[:path]`, or any path-like value | JSONL event stream ([`JsonlSink`]) |
+//! | `jsonl[:path]`, or any path-like value | JSONL event stream ([`JsonlSink`]; default `TRACE_<stem>.jsonl`) |
+//!
+//! Every other view is an `alphonse-trace` command over the recorded
+//! stream: record with `jsonl:<path>`, then run `alphonse-trace chrome
+//! <path>` (Perfetto spans), `dot <path>` (dependency graph) or `hot <path>`
+//! (hot-node table). The retired live-view specs `chrome`, `dot` and `hot`
+//! are refused with that two-step hint.
 //!
 //! [`TraceConfig::start`] yields an [`ActiveTrace`]: the requested consumer
 //! teed with a live [`Provenance`] index, so causal `why(node)` queries are
@@ -18,8 +21,7 @@
 //! runtime error messages.
 
 use super::provenance::Provenance;
-use super::{render_dot, ChromeTrace, GraphSink, JsonlSink, Profiler, Recorder, Tee, TraceSink};
-use crate::Runtime;
+use super::{JsonlSink, Recorder, Tee, TraceSink};
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -28,9 +30,6 @@ use std::sync::Arc;
 /// programs to be complete; the dump warns when the ring dropped events.
 const STDERR_RING: usize = 8192;
 
-/// Default top-K for the `hot` profiler table.
-const DEFAULT_TOP_K: usize = 20;
-
 /// A parsed trace spec: which consumer to attach and where its output goes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceConfig {
@@ -38,17 +37,11 @@ pub enum TraceConfig {
     Stderr,
     /// Stream every event as JSON lines to this file.
     Jsonl(PathBuf),
-    /// Accumulate a Chrome trace and write it to this file at the end.
-    Chrome(PathBuf),
-    /// Mirror the dependency graph and write DOT to this file at the end.
-    Dot(PathBuf),
-    /// Profile per-node and print the top-K table at the end.
-    Hot(usize),
 }
 
 impl TraceConfig {
     /// Parses a trace spec (see the [module docs](self) for the grammar).
-    /// `stem` names default output files, e.g. `TRACE_<stem>.json`.
+    /// `stem` names the default output file, `TRACE_<stem>.jsonl`.
     pub fn parse(spec: &str, stem: &str) -> Result<TraceConfig, String> {
         let (head, arg) = match spec.split_once(':') {
             Some((h, a)) => (h, Some(a)),
@@ -56,24 +49,15 @@ impl TraceConfig {
         };
         match head {
             "1" if arg.is_none() => Ok(TraceConfig::Stderr),
-            "chrome" => Ok(TraceConfig::Chrome(
-                arg.map(PathBuf::from)
-                    .unwrap_or_else(|| PathBuf::from(format!("TRACE_{stem}.json"))),
-            )),
-            "dot" => Ok(TraceConfig::Dot(
-                arg.map(PathBuf::from)
-                    .unwrap_or_else(|| PathBuf::from(format!("TRACE_{stem}.dot"))),
-            )),
-            "hot" => match arg {
-                None => Ok(TraceConfig::Hot(DEFAULT_TOP_K)),
-                Some(k) => k
-                    .parse::<usize>()
-                    .map(TraceConfig::Hot)
-                    .map_err(|_| format!("bad hot top-k `{k}` in trace spec `{spec}`")),
-            },
             "jsonl" => Ok(TraceConfig::Jsonl(
                 arg.map(PathBuf::from)
                     .unwrap_or_else(|| PathBuf::from(format!("TRACE_{stem}.jsonl"))),
+            )),
+            // Matched before the path fall-through: `chrome:x.json` contains
+            // a `.` and would otherwise be taken as a JSONL file name.
+            "chrome" | "dot" | "hot" => Err(format!(
+                "trace spec `{spec}` is no longer a live consumer: record with \
+                 `jsonl:<path>`, then run `alphonse-trace {head} <path>`"
             )),
             // Any path-like value is shorthand for `jsonl:<path>` — the
             // common `ALPHONSE_TRACE=trace.jsonl` case.
@@ -81,8 +65,7 @@ impl TraceConfig {
                 Ok(TraceConfig::Jsonl(PathBuf::from(spec)))
             }
             _ => Err(format!(
-                "unrecognized trace spec `{spec}` (expected 1, chrome[:path], \
-                 dot[:path], hot[:K], jsonl[:path], or a file path)"
+                "unrecognized trace spec `{spec}` (expected 1, jsonl[:path], or a file path)"
             )),
         }
     }
@@ -96,8 +79,8 @@ impl TraceConfig {
         }
     }
 
-    /// Builds the consumer (creating output files where needed) and tees it
-    /// with a live [`Provenance`] index.
+    /// Builds the consumer (creating the output file where needed) and tees
+    /// it with a live [`Provenance`] index.
     pub fn start(self) -> io::Result<ActiveTrace> {
         let provenance = Arc::new(Provenance::new());
         let (consumer, consumer_sink): (Consumer, Arc<dyn TraceSink>) = match self {
@@ -115,36 +98,6 @@ impl TraceConfig {
                     sink,
                 )
             }
-            TraceConfig::Chrome(path) => {
-                let sink = Arc::new(ChromeTrace::new());
-                (
-                    Consumer::Chrome {
-                        sink: sink.clone(),
-                        path,
-                    },
-                    sink,
-                )
-            }
-            TraceConfig::Dot(path) => {
-                let mirror = Arc::new(GraphSink::new());
-                (
-                    Consumer::Dot {
-                        mirror: mirror.clone(),
-                        path,
-                    },
-                    mirror,
-                )
-            }
-            TraceConfig::Hot(top_k) => {
-                let prof = Arc::new(Profiler::new());
-                (
-                    Consumer::Hot {
-                        prof: prof.clone(),
-                        top_k,
-                    },
-                    prof,
-                )
-            }
         };
         let sink = Arc::new(Tee::new(vec![
             provenance.clone() as Arc<dyn TraceSink>,
@@ -160,27 +113,12 @@ impl TraceConfig {
 
 enum Consumer {
     Stderr(Arc<Recorder>),
-    Jsonl {
-        sink: Arc<JsonlSink>,
-        path: PathBuf,
-    },
-    Chrome {
-        sink: Arc<ChromeTrace>,
-        path: PathBuf,
-    },
-    Dot {
-        mirror: Arc<GraphSink>,
-        path: PathBuf,
-    },
-    Hot {
-        prof: Arc<Profiler>,
-        top_k: usize,
-    },
+    Jsonl { sink: Arc<JsonlSink>, path: PathBuf },
 }
 
 /// A started trace: hand [`ActiveTrace::sink`] to the runtime (or install
 /// it as the thread default), then call [`ActiveTrace::finish`] once the
-/// workload is done to flush/write/print the consumer's output.
+/// workload is done to flush or print the consumer's output.
 pub struct ActiveTrace {
     consumer: Consumer,
     provenance: Arc<Provenance>,
@@ -204,14 +142,9 @@ impl ActiveTrace {
         super::set_default_sink(Some(self.sink()))
     }
 
-    /// Finalizes the consumer: dump, flush, or write its output.
-    ///
-    /// Passing the traced runtime lets the DOT consumer prefer the
-    /// authoritative live [`Runtime::graph_snapshot`] over its event-driven
-    /// mirror. Returns a one-line completion message for consumers that
-    /// produced a file (the hot-node table and stderr dump are printed
-    /// directly).
-    pub fn finish(self, rt: Option<&Runtime>) -> io::Result<Option<String>> {
+    /// Finalizes the consumer: dumps the recorder to stderr, or flushes the
+    /// JSONL file and returns a one-line completion message naming it.
+    pub fn finish(self) -> io::Result<Option<String>> {
         match self.consumer {
             Consumer::Stderr(rec) => {
                 eprint!("{}", rec.dump());
@@ -221,22 +154,6 @@ impl ActiveTrace {
                 sink.flush()?;
                 Ok(Some(format!("trace: wrote {}", path.display())))
             }
-            Consumer::Chrome { sink, path } => {
-                std::fs::write(&path, sink.to_json())?;
-                Ok(Some(format!("trace: wrote {}", path.display())))
-            }
-            Consumer::Dot { mirror, path } => {
-                let snap = match rt {
-                    Some(rt) => rt.graph_snapshot(),
-                    None => mirror.snapshot(),
-                };
-                std::fs::write(&path, render_dot(&snap))?;
-                Ok(Some(format!("trace: wrote {}", path.display())))
-            }
-            Consumer::Hot { prof, top_k } => {
-                println!("{}", prof.report(top_k));
-                Ok(None)
-            }
         }
     }
 }
@@ -244,24 +161,34 @@ impl ActiveTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Runtime;
 
     #[test]
     fn parse_covers_the_grammar() {
         let p = |s: &str| TraceConfig::parse(s, "bin");
         assert_eq!(p("1"), Ok(TraceConfig::Stderr));
-        assert_eq!(
-            p("chrome"),
-            Ok(TraceConfig::Chrome("TRACE_bin.json".into()))
-        );
-        assert_eq!(p("chrome:x.json"), Ok(TraceConfig::Chrome("x.json".into())));
-        assert_eq!(p("dot"), Ok(TraceConfig::Dot("TRACE_bin.dot".into())));
-        assert_eq!(p("hot"), Ok(TraceConfig::Hot(20)));
-        assert_eq!(p("hot:5"), Ok(TraceConfig::Hot(5)));
         assert_eq!(p("jsonl"), Ok(TraceConfig::Jsonl("TRACE_bin.jsonl".into())));
+        assert_eq!(p("jsonl:x.jsonl"), Ok(TraceConfig::Jsonl("x.jsonl".into())));
         assert_eq!(
             p("out/t.jsonl"),
             Ok(TraceConfig::Jsonl("out/t.jsonl".into()))
         );
+        // The retired live views are refused with the two-step replacement,
+        // even when the argument looks like a path.
+        for (spec, cmd) in [
+            ("chrome", "chrome"),
+            ("chrome:x.json", "chrome"),
+            ("dot", "dot"),
+            ("hot", "hot"),
+            ("hot:5", "hot"),
+        ] {
+            let err = p(spec).unwrap_err();
+            assert!(err.contains("jsonl:<path>"), "{spec}: {err}");
+            assert!(
+                err.contains(&format!("alphonse-trace {cmd} <path>")),
+                "{spec}: {err}"
+            );
+        }
         assert!(p("hot:x").is_err());
         assert!(p("bogus").is_err());
     }
@@ -282,6 +209,6 @@ mod tests {
         let chain = prov.why(n).expect("double was dirtied by the write");
         assert_eq!(chain.write, Some((v.node(), true)));
         // finish() dumps to stderr and returns no message.
-        assert_eq!(active.finish(Some(&rt)).unwrap(), None);
+        assert_eq!(active.finish().unwrap(), None);
     }
 }

@@ -1,7 +1,7 @@
 //! Offline analysis of Alphonse JSONL traces.
 //!
-//! The runtime's `JsonlSink` (activated with `--trace-out <path>` on the
-//! bench binaries or `ALPHONSE_TRACE=<path>` in the lang interpreter)
+//! The runtime's `JsonlSink` (activated with `--trace-out <path>` on
+//! `all_experiments` or `ALPHONSE_TRACE=<path>` in the lang interpreter)
 //! streams every [`TraceEvent`](alphonse::trace::TraceEvent) as one JSON
 //! line. This crate reads those documents back and answers the questions an
 //! incremental-computation user asks after a run:
@@ -12,7 +12,10 @@
 //! * **waves** — [`report::waves`] summarizes each propagation wave (dirtied /
 //!   executed / cutoffs / cache hits, causal depth, critical path);
 //! * **waste** — [`report::waste`] classifies every execution as productive
-//!   (value changed) or wasted (equal value recomputed), per memo label.
+//!   (value changed) or wasted (equal value recomputed), per memo label;
+//! * **chrome / dot / hot** — [`views`] folds the stream into a
+//!   Perfetto-loadable span trace, the dependency-graph mirror (rendered by
+//!   the runtime's own `render_dot`), and a per-node hot-spot table.
 //!
 //! Beyond traces, [`metrics`] reads the runtime's `alphonse-metrics-v1`
 //! snapshot files (wave-latency histograms, worker/shard gauges,
@@ -33,3 +36,4 @@ pub mod metrics;
 pub mod model;
 pub mod report;
 pub mod staticgraph;
+pub mod views;

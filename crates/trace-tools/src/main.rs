@@ -4,20 +4,24 @@
 //! alphonse-trace why <node|label> <trace.jsonl> [--dot] [--allow-truncated]
 //! alphonse-trace waves <trace.jsonl>
 //! alphonse-trace waste <trace.jsonl>
+//! alphonse-trace chrome <trace.jsonl>
+//! alphonse-trace dot <trace.jsonl>
+//! alphonse-trace hot <trace.jsonl> [--top K]
 //! alphonse-trace metrics <snapshot.json> [<baseline.json>]
 //! alphonse-trace bench-diff <baseline.json> <candidate.json> [--threshold <pct>]
 //! alphonse-trace check-static <trace.jsonl> <staticgraph.json>
 //! ```
 //!
-//! Record a trace with `--trace-out run.jsonl` on any bench binary or
+//! Record a trace with `--trace-out run.jsonl` on `all_experiments` or
 //! `ALPHONSE_TRACE=run.jsonl` on the lang interpreter, then ask why a node
 //! recomputed, how each propagation wave went, and which executions were
-//! wasted.
+//! wasted, or render the same stream as a Chrome span trace, a DOT
+//! dependency graph, or a hot-node table.
 
 use alphonse::NodeId;
 use alphonse_trace_tools::metrics::MetricsDoc;
 use alphonse_trace_tools::model::TraceFile;
-use alphonse_trace_tools::{report, staticgraph};
+use alphonse_trace_tools::{report, staticgraph, views};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -36,6 +40,19 @@ commands:
   waste <trace.jsonl>
       Classify every execution as productive (value changed) or wasted
       (equal value recomputed), aggregated per memo label.
+  chrome <trace.jsonl>
+      Print the trace as Chrome trace-event JSON (load it in Perfetto or
+      chrome://tracing): execution and propagation spans, with each
+      execution's own reads and new edges in its args, plus instants for
+      writes, dirtyings, cache hits, cutoffs, levels and batch commits.
+  dot <trace.jsonl>
+      Print the dependency graph mirrored from the trace as Graphviz DOT:
+      kinds, labels, edges, stale and queued nodes, execution ordinals and
+      counts, and partitions. A trace holding several runtimes shows the
+      last one.
+  hot <trace.jsonl> [--top K]
+      Print the K (default 20) hottest nodes by self time: executions,
+      cache hits, dirtyings, and self and cumulative time in microseconds.
   metrics <snapshot.json> [<baseline.json>]
       Pretty-print a runtime metrics snapshot (`MetricsSnapshot::to_json`
       output, e.g. a bench METRICS_<id>.json sidecar): counter totals,
@@ -146,7 +163,7 @@ fn warn_truncated(tf: &TraceFile) {
     }
 }
 
-fn cmd_report(args: Vec<String>, render: fn(&TraceFile) -> String) -> ExitCode {
+fn cmd_report(args: Vec<String>, render: impl Fn(&TraceFile) -> String) -> ExitCode {
     let [path] = args.as_slice() else {
         return fail("expected exactly one <trace.jsonl> argument");
     };
@@ -158,6 +175,18 @@ fn cmd_report(args: Vec<String>, render: fn(&TraceFile) -> String) -> ExitCode {
         }
         Err(e) => fail(&e),
     }
+}
+
+fn cmd_hot(mut args: Vec<String>) -> ExitCode {
+    let top = match take_opt(&mut args, "--top") {
+        None => 20,
+        Some(Ok(v)) => match v.parse::<usize>() {
+            Ok(k) => k,
+            Err(_) => return fail(&format!("--top wants a count, got `{v}`")),
+        },
+        Some(Err(e)) => return fail(&e),
+    };
+    cmd_report(args, |tf| views::hot(tf).render(top))
 }
 
 fn cmd_metrics(args: Vec<String>) -> ExitCode {
@@ -283,6 +312,9 @@ fn main() -> ExitCode {
         "why" => cmd_why(args),
         "waves" => cmd_report(args, report::waves_report),
         "waste" => cmd_report(args, report::waste_report),
+        "chrome" => cmd_report(args, views::chrome),
+        "dot" => cmd_report(args, views::dot),
+        "hot" => cmd_hot(args),
         "metrics" => cmd_metrics(args),
         "bench-diff" => cmd_bench_diff(args),
         "check-static" => cmd_check_static(args),

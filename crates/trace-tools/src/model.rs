@@ -50,6 +50,15 @@ pub struct TraceFile {
     pub records: Vec<Record>,
 }
 
+/// `label (nI)` when labeled, `nI` otherwise — the same convention as
+/// `Provenance::display`, shared by every report that names nodes.
+pub(crate) fn display(label: Option<&str>, n: NodeId) -> String {
+    match label {
+        Some(l) => format!("{l} ({n})"),
+        None => n.to_string(),
+    }
+}
+
 fn field_u64(obj: &Json, key: &str, line: usize) -> Result<u64, String> {
     obj.get(key)
         .and_then(Json::as_u64)

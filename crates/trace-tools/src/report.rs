@@ -33,13 +33,8 @@ impl Names {
         self.0.get(n.index()).and_then(|l| l.as_deref())
     }
 
-    /// `label (nI)` when labeled, `nI` otherwise — same convention as
-    /// `Provenance::display`.
     fn display(&self, n: NodeId) -> String {
-        match self.raw(n) {
-            Some(l) => format!("{l} ({n})"),
-            None => n.to_string(),
-        }
+        crate::model::display(self.raw(n), n)
     }
 }
 

@@ -1,5 +1,6 @@
-//! Smoke tests of the `alphonse-trace` binary: the why/waves/waste commands
-//! over a real recorded trace, and the truncation refusal.
+//! Smoke tests of the `alphonse-trace` binary: the why/waves/waste and
+//! chrome/dot/hot commands over a real recorded trace, and the truncation
+//! refusal.
 
 use alphonse::trace::{Recorder, TraceSink};
 use alphonse::{Runtime, Strategy};
@@ -68,6 +69,54 @@ fn why_waves_waste_run_over_a_recorded_trace() {
     assert!(waste.status.success());
     let out = String::from_utf8_lossy(&waste.stdout);
     assert!(out.contains("productive"), "{out}");
+
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn chrome_dot_hot_run_over_a_recorded_trace() {
+    let path = recorded_diamond("views.jsonl", 4096);
+    let run = |args: &[&str]| {
+        let out = bin()
+            .arg(args[0])
+            .arg(&path)
+            .args(&args[1..])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+
+    let chrome = run(&["chrome"]);
+    assert!(
+        chrome.starts_with("[\n") && chrome.ends_with(']'),
+        "{chrome}"
+    );
+    assert!(chrome.contains(r#""name":"exec top (n1)""#), "{chrome}");
+
+    let dot = run(&["dot"]);
+    assert!(dot.starts_with("digraph alphonse {"), "{dot}");
+    assert!(dot.contains("n3 -> n1;"), "{dot}");
+
+    let hot = run(&["hot", "--top", "3"]);
+    assert!(
+        hot.starts_with("hot nodes (top 3 by self time; 1 propagations"),
+        "{hot}"
+    );
+    assert!(hot.contains("top (n1)"), "{hot}");
+    assert_eq!(hot.lines().count(), 2 + 3, "{hot}");
+
+    let bad = bin()
+        .arg("hot")
+        .arg(&path)
+        .args(["--top", "x"])
+        .output()
+        .unwrap();
+    assert_eq!(bad.status.code(), Some(2));
 
     std::fs::remove_file(&path).ok();
 }

@@ -2,11 +2,11 @@
 //! through the live sinks, then replay the artifacts through the offline
 //! tooling and check the two sides agree.
 
-use alphonse::trace::{ChromeTrace, JsonlSink, Recorder, Tee, TraceSink};
+use alphonse::trace::{JsonlSink, Recorder, Tee, TraceSink};
 use alphonse::{Runtime, Strategy};
 use alphonse_trace_tools::json::Json;
 use alphonse_trace_tools::model::TraceFile;
-use alphonse_trace_tools::report;
+use alphonse_trace_tools::{report, views};
 use std::sync::{Arc, Mutex};
 
 /// An in-memory writer the test can read back after the sink is dropped.
@@ -31,8 +31,8 @@ impl SharedBuf {
 
 /// Runs the canonical diamond (`a` feeds `left = a/100` and `right = a*2`,
 /// both feed `top`) under `sink`: initial call, then a changed write and a
-/// propagation wave.
-fn run_diamond(sink: Arc<dyn TraceSink>) {
+/// propagation wave. Returns the runtime, detached from the sink.
+fn run_diamond(sink: Arc<dyn TraceSink>) -> Runtime {
     let rt = Runtime::new();
     rt.set_sink(Some(sink));
     let a = rt.var_named("a", 10i64);
@@ -46,17 +46,30 @@ fn run_diamond(sink: Arc<dyn TraceSink>) {
     a.set(&rt, 20);
     rt.propagate();
     rt.set_sink(None);
+    rt
 }
 
 /// Records the diamond simultaneously into a [`Recorder`] (live truth) and
 /// a [`JsonlSink`] (the on-disk format), returning both views.
 fn record_diamond() -> (Arc<Recorder>, String) {
+    let (_, rec, text) = record_diamond_live();
+    (rec, text)
+}
+
+/// [`record_diamond`], also returning the traced runtime so offline views
+/// can be checked against its live state.
+fn record_diamond_live() -> (Runtime, Arc<Recorder>, String) {
     let buf = SharedBuf::default();
     let rec = Arc::new(Recorder::new(4096));
     let jsonl = Arc::new(JsonlSink::new(buf.clone()).unwrap());
-    run_diamond(Arc::new(Tee::new(vec![rec.clone(), jsonl.clone()])));
+    let rt = run_diamond(Arc::new(Tee::new(vec![rec.clone(), jsonl.clone()])));
     jsonl.flush().unwrap();
-    (rec, buf.take_string())
+    (rt, rec, buf.take_string())
+}
+
+/// The diamond's trace as the offline tools read it.
+fn diamond_file() -> TraceFile {
+    TraceFile::parse(&record_diamond().1).unwrap()
 }
 
 #[test]
@@ -134,9 +147,7 @@ fn waves_summarizes_the_propagation() {
 
 #[test]
 fn chrome_trace_is_valid_json_with_well_nested_spans() {
-    let chrome = Arc::new(ChromeTrace::new());
-    run_diamond(chrome.clone());
-    let doc = Json::parse(&chrome.to_json()).expect("Chrome trace is valid JSON");
+    let doc = Json::parse(&views::chrome(&diamond_file())).expect("Chrome trace is valid JSON");
     let events = doc.as_arr().expect("top level is an array");
     assert!(!events.is_empty());
     let mut open = 0i64;
@@ -159,4 +170,96 @@ fn chrome_trace_is_valid_json_with_well_nested_spans() {
         }
     }
     assert_eq!(open, 0, "every begun span ends");
+}
+
+#[test]
+fn chrome_trace_from_diamond_is_valid_json_shape() {
+    let json = views::chrome(&diamond_file());
+    assert!(json.starts_with("[\n") && json.ends_with(']'));
+    // Spans balance: one E per B (3 initial + 3 re-executions + 1
+    // propagation run).
+    let begins = json.matches(r#""ph":"B""#).count();
+    let ends = json.matches(r#""ph":"E""#).count();
+    assert_eq!(begins, ends, "unbalanced spans:\n{json}");
+    assert_eq!(begins, 7, "expected 6 exec spans + 1 propagate span");
+    assert!(json.contains(r#""name":"exec top (n1)""#), "{json}");
+    assert!(json.contains(r#""name":"cutoff left (n2)""#), "{json}");
+}
+
+#[test]
+fn chrome_exec_spans_tally_only_their_own_reads_and_edges() {
+    // Regression: one shared tally reset at every span start let `right`'s
+    // read leak into the enclosing first `top` span (`"reads":1`), though
+    // `top` reads no location — it only calls the arms and adds two edges.
+    let json = views::chrome(&diamond_file());
+    let exec_args: Vec<&str> = json
+        .lines()
+        .filter(|l| l.starts_with(r#"{"ph":"E""#) && l.contains(r#""reads""#))
+        .map(|l| l[l.find(r#""args""#).unwrap()..].trim_end_matches(','))
+        .collect();
+    let golden = [
+        // Initial build: `left` and `right` end inside `top`.
+        r#""args":{"changed":true,"reads":1,"edges":1}}"#,
+        r#""args":{"changed":true,"reads":1,"edges":1}}"#,
+        r#""args":{"changed":true,"reads":0,"edges":2}}"#,
+        // The wave: right, left (cut off), then top once.
+        r#""args":{"changed":true,"reads":1,"edges":1}}"#,
+        r#""args":{"changed":false,"reads":1,"edges":1}}"#,
+        r#""args":{"changed":true,"reads":0,"edges":2}}"#,
+    ];
+    assert_eq!(exec_args, golden, "{json}");
+}
+
+#[test]
+fn hot_counts_diamond_executions() {
+    let prof = views::hot(&diamond_file());
+    assert_eq!(prof.total_execs(), 6); // 3 initial + 3 re-executions
+    assert_eq!(prof.propagations, 1); // only the explicit rt.propagate()
+    let report = prof.render(3);
+    assert!(report.contains("top (n1)"), "{report}");
+    assert!(
+        report.lines().count() <= 2 + 3,
+        "top-k not applied:\n{report}"
+    );
+}
+
+#[test]
+fn graph_mirror_agrees_with_live_snapshot_topology() {
+    let (rt, _, text) = record_diamond_live();
+    let live = rt.graph_snapshot();
+    let mirrored = views::graph_snapshot(&TraceFile::parse(&text).unwrap());
+    assert_eq!(live.nodes.len(), mirrored.nodes.len());
+    let mut live_edges = live.edges.clone();
+    let mut mirror_edges = mirrored.edges.clone();
+    live_edges.sort();
+    mirror_edges.sort();
+    assert_eq!(live_edges, mirror_edges);
+    for (l, m) in live.nodes.iter().zip(&mirrored.nodes) {
+        assert_eq!(l.kind, m.kind, "kind mismatch at {}", l.id);
+        assert_eq!(l.label, m.label, "label mismatch at {}", l.id);
+    }
+    // The event-driven mirror also carries execution counts the live
+    // snapshot cannot: 3 initial executions + 3 re-executions.
+    assert_eq!(mirrored.nodes.iter().map(|n| n.execs).sum::<u64>(), 6);
+}
+
+#[test]
+fn offline_dot_shows_the_drained_wave_like_the_live_snapshot() {
+    // Regression: the mirror cleared dirt only on `ExecuteEnd`, which a
+    // location never emits, so the written `a` stayed queued (bold red
+    // border) after its wave drained.
+    let (rt, _, text) = record_diamond_live();
+    let live = rt.graph_snapshot();
+    let mirrored = views::graph_snapshot(&TraceFile::parse(&text).unwrap());
+    for (l, m) in live.nodes.iter().zip(&mirrored.nodes) {
+        assert_eq!(
+            (l.queued, l.consistent),
+            (m.queued, m.consistent),
+            "queue/consistency mismatch at {}",
+            l.id
+        );
+    }
+    assert_eq!(live.edges.len(), mirrored.edges.len());
+    let dot = views::dot(&TraceFile::parse(&text).unwrap());
+    assert!(!dot.contains("penwidth"), "nothing is queued:\n{dot}");
 }
