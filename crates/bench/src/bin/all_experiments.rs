@@ -106,13 +106,6 @@ fn main() {
                 ex::e14_serving(&[1, 2, 4], 16, 64)
             }
         }),
-        ("E15", |q| {
-            if q {
-                ex::e15_parallel(&[0, 1, 2, 4], 16, 6, 200)
-            } else {
-                ex::e15_parallel(&[0, 1, 2, 4], 32, 20, 200)
-            }
-        }),
         ("E16", ex::e16_metrics_overhead),
         ("E17", ex::e17_scale),
     ];

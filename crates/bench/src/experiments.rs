@@ -1142,132 +1142,11 @@ pub fn e14_serving(threads: &[usize], sessions: usize, waves: usize) -> Table {
     t
 }
 
-/// E15: level-parallel wave propagation inside a single graph — one wide
-/// "spreadsheet row" (every cell depends on one input var, one total sums
-/// the cells), update loop re-timed at each parallelism setting.
-///
-/// Each cell's executor stalls for `stall_us` before producing its value,
-/// modeling the I/O-bound recompute (an external lookup, a service call per
-/// cell) that level parallelism is for: the cells of one height level are
-/// mutually independent, so `n` workers overlap `n` stalls. On a multicore
-/// host a CPU-bound body scales the same way; on a single-core host — like
-/// CI — only the stall workload can show wall-clock speedup, which is why
-/// it is the measured one (same methodology as E14's stall rows).
-///
-/// `workers`: `0` = the sequential evaluator (no level machinery at all),
-/// `1` = level-at-a-time draining with inline execution (the honest
-/// baseline for the speedup column — it pays the batching overhead but
-/// runs no worker threads), `n >= 2` = a pooled level scheduler. `speedup`
-/// is relative to the 1-worker row. Without the `parallel` feature
-/// `set_parallelism` is a stub and every row measures the sequential
-/// evaluator.
-pub fn e15_parallel(workers: &[usize], width: usize, waves: usize, stall_us: u64) -> Table {
-    let mut t = Table::new(
-        "E15 — level-parallel waves: wide row graph, stall-bound cells",
-        &[
-            "mode",
-            "width",
-            "waves",
-            "stall_us",
-            "elapsed_ms",
-            "waves_s",
-            "speedup",
-            "par_levels",
-            "par_execs",
-            "level_hwm",
-            "execs",
-        ],
-    );
-    struct Row {
-        mode: String,
-        elapsed: f64,
-        stats: alphonse::Stats,
-    }
-    let mut rows: Vec<Row> = Vec::new();
-    let mut metrics = MetricsSnapshot::default();
-    for &n in workers {
-        let rt = Runtime::new();
-        rt.set_parallelism(n);
-        let vars: Vec<Var<i64>> = (0..width).map(|i| rt.var(i as i64)).collect();
-        let cells: Vec<Memo<(), i64>> = vars
-            .iter()
-            .map(|v| {
-                let v = *v;
-                rt.memo_with("cell", Strategy::Eager, move |rt, &(): &()| {
-                    let x = v.get(rt);
-                    if stall_us > 0 {
-                        std::thread::sleep(std::time::Duration::from_micros(stall_us));
-                    }
-                    x + 1
-                })
-            })
-            .collect();
-        let total = {
-            let cells = cells.clone();
-            rt.memo_with("total", Strategy::Eager, move |rt, &(): &()| {
-                cells.iter().map(|c| c.call(rt, ())).sum::<i64>()
-            })
-        };
-        total.call(&rt, ());
-        rt.propagate();
-        rt.reset_stats();
-        let start = Instant::now();
-        for w in 0..waves {
-            rt.batch(|tx| {
-                for (i, v) in vars.iter().enumerate() {
-                    // `+ 1` keeps wave 0 distinct from the warmup values, so
-                    // every wave really recomputes all `width` cells.
-                    v.set_in(tx, (w * width + i) as i64 + 1);
-                }
-            });
-            rt.propagate();
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        let last = waves - 1;
-        let expect: i64 = (0..width).map(|i| (last * width + i) as i64 + 2).sum();
-        assert_eq!(total.call(&rt, ()), expect, "parallel run diverged");
-        rt.check_invariants();
-        metrics.merge(&rt.metrics_snapshot());
-        rows.push(Row {
-            mode: if n == 0 {
-                "seq".into()
-            } else {
-                format!("par{n}")
-            },
-            elapsed,
-            stats: rt.stats(),
-        });
-    }
-    // Speedup is measured against the 1-worker level scheduler (same
-    // batching, no threads); fall back to the first row if absent.
-    let base = rows
-        .iter()
-        .find(|r| r.mode == "par1")
-        .map(|r| r.elapsed)
-        .unwrap_or_else(|| rows.first().map(|r| r.elapsed).unwrap_or(1.0));
-    for r in &rows {
-        t.row_strings(vec![
-            r.mode.clone(),
-            width.to_string(),
-            waves.to_string(),
-            stall_us.to_string(),
-            format!("{:.1}", r.elapsed * 1e3),
-            format!("{:.1}", waves as f64 / r.elapsed),
-            format!("{:.2}x", base / r.elapsed),
-            r.stats.parallel_levels.to_string(),
-            r.stats.parallel_executions.to_string(),
-            r.stats.level_width_hwm.to_string(),
-            r.stats.executions.to_string(),
-        ]);
-    }
-    write_metrics_sidecar("E15", &metrics);
-    t
-}
-
 /// E16: the metrics layer's own cost. The ROADMAP judges the scale-stress
 /// work on wave-latency percentiles — which only pay off if collecting
 /// them is close to free. Two update loops (the E9 height ladder and the
-/// E15 wide row, both pure CPU so instrumentation cannot hide inside
+/// wide row — one input var per cell, one eager total over every cell —
+/// both pure CPU so instrumentation cannot hide inside
 /// stalls) run with recording enabled vs the
 /// [`alphonse::metrics::set_enabled`] kill-switch, which leaves one
 /// relaxed atomic load per site. Both arms share **one** runtime and one
@@ -1471,9 +1350,7 @@ pub fn e16_metrics_overhead(quick: bool) -> Table {
 /// E17 — million-node scale stress: how the runtime's cost model holds up
 /// three orders of magnitude past the paper's examples.
 ///
-/// Two substrates are pushed to ~10^6 runtime nodes each, sequentially and
-/// with the level-parallel scheduler at n=4 (a stub without the `parallel`
-/// feature — that row then re-measures the sequential evaluator):
+/// Two substrates are pushed to ~10^6 runtime nodes each:
 ///
 /// * **sheet** — a `rows × cols` spreadsheet whose columns are add-one
 ///   chains, populated through `Sheet::set_formulas` (the bulk-edit path:
@@ -1499,7 +1376,6 @@ pub fn e17_scale(quick: bool) -> Table {
         "E17 — million-node scale stress: bulk build throughput, wave latency, bytes/node",
         &[
             "workload",
-            "mode",
             "nodes",
             "cells",
             "build_ms",
@@ -1531,7 +1407,7 @@ pub fn e17_scale(quick: bool) -> Table {
         snapshot: MetricsSnapshot,
     }
     let mut sidecar = MetricsSnapshot::default();
-    let emit = |t: &mut Table, workload: &str, mode: &str, r: Run| {
+    let emit = |t: &mut Table, workload: &str, r: Run| {
         let total: u64 = r.tag_bytes.iter().map(|(_, b)| b).sum();
         let per = |tag: &str| {
             let b = r
@@ -1543,7 +1419,6 @@ pub fn e17_scale(quick: bool) -> Table {
         };
         let mut row = vec![
             workload.to_string(),
-            mode.to_string(),
             r.nodes.to_string(),
             r.cells.to_string(),
             format!("{:.1}", r.build_s * 1e3),
@@ -1558,13 +1433,12 @@ pub fn e17_scale(quick: bool) -> Table {
         row.push(per("substrate"));
         t.row_strings(row);
     };
-    const TAGS: [&str; 7] = [
+    const TAGS: [&str; 6] = [
         "graph_core",
         "value_slab",
         "memo",
         "queues",
         "substrate",
-        "exec_pool",
         "metrics",
     ];
     let (cols, rows, leaves, waves_n) = if quick {
@@ -1574,10 +1448,9 @@ pub fn e17_scale(quick: bool) -> Table {
     };
     let edits_per_wave = 16u32;
 
-    let sheet_run = |workers: usize| -> Run {
+    let sheet_run = || -> Run {
         let mem0 = alphonse::mem::snapshot();
         let rt = Runtime::new();
-        rt.set_parallelism(workers);
         let t0 = Instant::now();
         let sheet = Sheet::new(&rt, cols, rows);
         let mut edits = Vec::with_capacity(cols as usize * rows as usize);
@@ -1604,7 +1477,7 @@ pub fn e17_scale(quick: bool) -> Table {
         let nodes = rt.stats().mem_nodes;
         let mem1 = alphonse::mem::snapshot();
         let m0 = rt.metrics_snapshot();
-        let mut r = workloads::rng(1700 + workers as u64);
+        let mut r = workloads::rng(1700);
         for w in 0..waves_n {
             let batch: Vec<(Addr, Formula)> = (0..edits_per_wave.min(cols))
                 .map(|i| {
@@ -1646,10 +1519,9 @@ pub fn e17_scale(quick: bool) -> Table {
         }
     };
 
-    let ag_run = |workers: usize| -> Run {
+    let ag_run = || -> Run {
         let mem0 = alphonse::mem::snapshot();
         let rt = Runtime::new();
-        rt.set_parallelism(workers);
         let mut g = Grammar::builder();
         let value = g.synthesized("value");
         let leaf = g.production("Leaf", 0, 1);
@@ -1684,7 +1556,7 @@ pub fn e17_scale(quick: bool) -> Table {
         let nodes = rt.stats().mem_nodes;
         let mem1 = alphonse::mem::snapshot();
         let m0 = rt.metrics_snapshot();
-        let mut r = workloads::rng(1750 + workers as u64);
+        let mut r = workloads::rng(1750);
         for w in 0..waves_n {
             for i in 0..edits_per_wave as usize {
                 let li = r.gen_range(0..leaves);
@@ -1708,17 +1580,9 @@ pub fn e17_scale(quick: bool) -> Table {
         }
     };
 
-    for workers in [0usize, 4] {
-        let mode = if workers == 0 { "seq" } else { "par4" };
-        let run = sheet_run(workers);
+    for (workload, run) in [("sheet_chain", sheet_run()), ("ag_sumtree", ag_run())] {
         sidecar.merge(&run.snapshot);
-        emit(&mut t, "sheet_chain", mode, run);
-    }
-    for workers in [0usize, 4] {
-        let mode = if workers == 0 { "seq" } else { "par4" };
-        let run = ag_run(workers);
-        sidecar.merge(&run.snapshot);
-        emit(&mut t, "ag_sumtree", mode, run);
+        emit(&mut t, workload, run);
     }
     write_metrics_sidecar("E17", &sidecar);
     t

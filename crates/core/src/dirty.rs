@@ -73,29 +73,6 @@ impl DirtySet {
         }
     }
 
-    /// Drains the whole batch of dirty nodes at the current minimum height
-    /// into `out`, returning that height. Nodes re-inserted while the batch
-    /// is in flight join a later level, never the current one.
-    ///
-    /// Fifo scheduling has no height levels; it degrades to a singleton
-    /// batch (the front node, reported as height 0) so a level-at-a-time
-    /// caller behaves exactly like repeated [`pop`] calls.
-    ///
-    /// [`pop`]: DirtySet::pop
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))] // level drain is feature-gated
-    pub(crate) fn pop_level(&mut self, out: &mut Vec<NodeId>) -> Option<u32> {
-        let _mem = mem::scope(mem::Tag::Queues);
-        match self {
-            DirtySet::Height(q) => q.pop_level(out),
-            DirtySet::Fifo { queue, members } => {
-                let n = queue.pop_front()?;
-                members.remove(&n);
-                out.push(n);
-                Some(0)
-            }
-        }
-    }
-
     /// Visits every queued node, in no particular order.
     pub(crate) fn for_each_member(&self, mut f: impl FnMut(NodeId)) {
         match self {
@@ -203,46 +180,6 @@ mod tests {
         assert!(!s.insert(ns[0], 0));
         assert_eq!(s.len(), 1);
         s.pop();
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn height_pop_level_batches_by_height() {
-        let ns = nodes(4);
-        let mut s = DirtySet::new(Scheduling::HeightOrder);
-        s.insert(ns[0], 1);
-        s.insert(ns[1], 0);
-        s.insert(ns[2], 1);
-        s.insert(ns[3], 0);
-        let mut batch = Vec::new();
-        assert_eq!(s.pop_level(&mut batch), Some(0));
-        batch.sort();
-        assert_eq!(batch, vec![ns[1], ns[3]]);
-        batch.clear();
-        // Same-height re-insertion during the "in-flight" window goes to
-        // the next level, not the drained batch.
-        s.insert(ns[1], 1);
-        assert_eq!(s.pop_level(&mut batch), Some(1));
-        batch.sort();
-        assert_eq!(batch, vec![ns[0], ns[1], ns[2]]);
-        batch.clear();
-        assert_eq!(s.pop_level(&mut batch), None);
-    }
-
-    #[test]
-    fn fifo_pop_level_is_a_singleton() {
-        let ns = nodes(3);
-        let mut s = DirtySet::new(Scheduling::Fifo);
-        s.insert(ns[2], 9);
-        s.insert(ns[0], 0);
-        let mut batch = Vec::new();
-        assert_eq!(s.pop_level(&mut batch), Some(0));
-        assert_eq!(batch, vec![ns[2]]);
-        batch.clear();
-        assert_eq!(s.pop_level(&mut batch), Some(0));
-        assert_eq!(batch, vec![ns[0]]);
-        batch.clear();
-        assert_eq!(s.pop_level(&mut batch), None);
         assert!(s.is_empty());
     }
 

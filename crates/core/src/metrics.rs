@@ -1,13 +1,12 @@
 //! Always-on runtime telemetry: lock-free counters, latency histograms and
-//! worker/shard gauges.
+//! session-pool shard gauges.
 //!
 //! The [`crate::stats`] counters answer *how much work* the runtime did; the
 //! [`crate::trace`] layer answers *which node and why*, but is forensic and
 //! off by default. This module fills the gap a production incremental
 //! service needs: cheap, always-on **distributions** — wave-latency
-//! percentiles, per-wave executed/wasted work, level widths, worker
-//! utilization and shard serving latency — recorded on the hot paths
-//! *without taking the runtime lock*.
+//! percentiles, per-wave executed/wasted work and shard serving latency —
+//! recorded on the hot paths *without taking the runtime lock*.
 //!
 //! # Design
 //!
@@ -21,7 +20,7 @@
 //!   plain [`HistogramSnapshot`] that supports merge, delta, percentile
 //!   readout and a sparse wire form (only nonzero buckets).
 //! * **Gating** — the `metrics` cargo feature (on by default) compiles the
-//!   recording sites in `runtime`/`exec_pool`/`pool`; without it the hot
+//!   recording sites in `runtime`/`pool`; without it the hot
 //!   paths carry zero instrumentation and [`Runtime::metrics_snapshot`]
 //!   returns an empty snapshot. At runtime, [`set_enabled`] is a global
 //!   kill-switch (one relaxed atomic load per site) so a single binary can
@@ -332,44 +331,14 @@ impl HistogramSnapshot {
     }
 }
 
-/// Maximum executor-pool worker slots tracked per runtime. Gauges for
-/// workers beyond this fold into the last slot (parallelism this wide is
-/// far past the level widths the scheduler produces).
-pub const MAX_WORKER_SLOTS: usize = 64;
-
-#[derive(Debug)]
-pub(crate) struct WorkerGauges {
-    pub(crate) busy_ns: AtomicU64,
-    pub(crate) idle_ns: AtomicU64,
-    pub(crate) jobs: AtomicU64,
-}
-
-impl WorkerGauges {
-    const fn new() -> WorkerGauges {
-        WorkerGauges {
-            busy_ns: AtomicU64::new(0),
-            idle_ns: AtomicU64::new(0),
-            jobs: AtomicU64::new(0),
-        }
-    }
-}
-
 /// The live metric registry owned by one [`Runtime`](crate::Runtime):
-/// wave/level histograms plus executor-pool worker gauges. All fields are
-/// atomics — recording never takes the runtime lock.
+/// the per-wave histograms. All fields are atomics — recording never takes
+/// the runtime lock.
 #[derive(Debug)]
 pub struct RuntimeMetrics {
     pub(crate) wave_latency_ns: Histogram,
     pub(crate) wave_executed: Histogram,
     pub(crate) wave_wasted: Histogram,
-    pub(crate) level_width: Histogram,
-    pub(crate) level_latency_ns: Histogram,
-    pub(crate) workers: [WorkerGauges; MAX_WORKER_SLOTS],
-    /// Number of worker slots that have ever run a job (gauge readout stops
-    /// here).
-    pub(crate) workers_hwm: AtomicU64,
-    pub(crate) queue_depth: AtomicU64,
-    pub(crate) queue_depth_hwm: AtomicU64,
 }
 
 // Without the `metrics` feature the recording sites are compiled out and
@@ -381,12 +350,6 @@ impl RuntimeMetrics {
             wave_latency_ns: Histogram::new(),
             wave_executed: Histogram::new(),
             wave_wasted: Histogram::new(),
-            level_width: Histogram::new(),
-            level_latency_ns: Histogram::new(),
-            workers: [const { WorkerGauges::new() }; MAX_WORKER_SLOTS],
-            workers_hwm: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            queue_depth_hwm: AtomicU64::new(0),
         }
     }
 
@@ -397,92 +360,11 @@ impl RuntimeMetrics {
         self.wave_executed.record(executed);
         self.wave_wasted.record(wasted);
     }
-
-    /// Folds a worker slot index into the tracked range.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))] // exec-pool sites
-    pub(crate) fn slot(idx: usize) -> usize {
-        idx.min(MAX_WORKER_SLOTS - 1)
-    }
-
-    /// Records one job executed by worker `slot`, with the time it spent
-    /// running it and the time it waited for it.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))] // exec-pool sites
-    pub(crate) fn record_worker_job(&self, slot: usize, busy_ns: u64, idle_ns: u64) {
-        let w = &self.workers[Self::slot(slot)];
-        w.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
-        w.idle_ns.fetch_add(idle_ns, Ordering::Relaxed);
-        w.jobs.fetch_add(1, Ordering::Relaxed);
-        self.workers_hwm
-            .fetch_max(Self::slot(slot) as u64 + 1, Ordering::Relaxed);
-    }
-
-    /// A job entered the executor-pool queue.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))] // exec-pool sites
-    pub(crate) fn queue_push(&self) {
-        let now = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_depth_hwm.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// A job left the executor-pool queue.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))] // exec-pool sites
-    pub(crate) fn queue_pop(&self) {
-        // Saturating: a disable/enable flip mid-level may unbalance the
-        // push/pop pair; never underflow the gauge.
-        let _ = self
-            .queue_depth
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-                Some(d.saturating_sub(1))
-            });
-    }
-
-    /// Snapshot of the per-worker gauges, one entry per slot that has run
-    /// at least one job.
-    pub(crate) fn worker_snapshots(&self) -> Vec<WorkerSnapshot> {
-        let hwm = self.workers_hwm.load(Ordering::Relaxed) as usize;
-        self.workers[..hwm.min(MAX_WORKER_SLOTS)]
-            .iter()
-            .enumerate()
-            .map(|(slot, w)| WorkerSnapshot {
-                slot,
-                busy_ns: w.busy_ns.load(Ordering::Relaxed),
-                idle_ns: w.idle_ns.load(Ordering::Relaxed),
-                jobs: w.jobs.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
 }
 
 impl Default for RuntimeMetrics {
     fn default() -> Self {
         RuntimeMetrics::new()
-    }
-}
-
-/// Gauges for one executor-pool worker slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WorkerSnapshot {
-    /// Worker slot index within the pool.
-    pub slot: usize,
-    /// Nanoseconds spent running jobs.
-    pub busy_ns: u64,
-    /// Nanoseconds spent waiting for jobs (between finishing one and
-    /// receiving the next).
-    pub idle_ns: u64,
-    /// Jobs executed.
-    pub jobs: u64,
-}
-
-impl WorkerSnapshot {
-    /// Fraction of observed time this worker spent running jobs
-    /// (`0.0..=1.0`; `0.0` before the first job).
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        let total = self.busy_ns + self.idle_ns;
-        if total == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / total as f64
-        }
     }
 }
 
@@ -591,17 +473,6 @@ pub struct MetricsSnapshot {
     pub wave_executed: HistogramSnapshot,
     /// Cutoff-stopped (value-unchanged) executor runs per wave.
     pub wave_wasted: HistogramSnapshot,
-    /// Dirty-batch width per height level (feature `parallel`).
-    pub level_width: HistogramSnapshot,
-    /// Per-level drain latency, nanoseconds (feature `parallel`, pooled
-    /// levels only).
-    pub level_latency_ns: HistogramSnapshot,
-    /// Executor-pool worker gauges, one per slot that has run a job.
-    pub workers: Vec<WorkerSnapshot>,
-    /// Executor-pool jobs currently queued.
-    pub queue_depth: u64,
-    /// High-water mark of [`queue_depth`](MetricsSnapshot::queue_depth).
-    pub queue_depth_hwm: u64,
     /// Serving-layer metrics, when the snapshot came from a
     /// [`SessionPool`](crate::pool::SessionPool).
     pub pool: Option<PoolSnapshot>,
@@ -666,9 +537,9 @@ fn prom_hist(out: &mut String, name: &str, h: &HistogramSnapshot) {
 }
 
 impl MetricsSnapshot {
-    /// Merges `other` into `self`: counters and histograms add, gauges take
-    /// the maximum, worker/shard entries merge by slot. Used to aggregate
-    /// snapshots across independent runtimes or bench repetitions.
+    /// Merges `other` into `self`: counters and histograms add, shard
+    /// entries merge by index. Used to aggregate snapshots across
+    /// independent runtimes or bench repetitions.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (name, v) in &other.counters {
             match self.counters.iter_mut().find(|(n, _)| n == name) {
@@ -679,21 +550,6 @@ impl MetricsSnapshot {
         self.wave_latency_ns.merge(&other.wave_latency_ns);
         self.wave_executed.merge(&other.wave_executed);
         self.wave_wasted.merge(&other.wave_wasted);
-        self.level_width.merge(&other.level_width);
-        self.level_latency_ns.merge(&other.level_latency_ns);
-        for w in &other.workers {
-            match self.workers.iter_mut().find(|m| m.slot == w.slot) {
-                Some(mine) => {
-                    mine.busy_ns += w.busy_ns;
-                    mine.idle_ns += w.idle_ns;
-                    mine.jobs += w.jobs;
-                }
-                None => self.workers.push(*w),
-            }
-        }
-        self.workers.sort_by_key(|w| w.slot);
-        self.queue_depth = self.queue_depth.max(other.queue_depth);
-        self.queue_depth_hwm = self.queue_depth_hwm.max(other.queue_depth_hwm);
         if let Some(op) = &other.pool {
             let mine = self.pool.get_or_insert_with(PoolSnapshot::default);
             mine.submit_sojourn_ns.merge(&op.submit_sojourn_ns);
@@ -715,8 +571,8 @@ impl MetricsSnapshot {
     }
 
     /// Everything recorded between `earlier` and `self`. Counters and
-    /// histograms subtract; point-in-time gauges (queue depth, tenants,
-    /// worker totals) are carried from `self`.
+    /// histograms subtract; point-in-time gauges (tenants, memory) are
+    /// carried from `self`.
     ///
     /// # Panics
     ///
@@ -741,11 +597,6 @@ impl MetricsSnapshot {
             wave_latency_ns: self.wave_latency_ns.delta_since(&earlier.wave_latency_ns),
             wave_executed: self.wave_executed.delta_since(&earlier.wave_executed),
             wave_wasted: self.wave_wasted.delta_since(&earlier.wave_wasted),
-            level_width: self.level_width.delta_since(&earlier.level_width),
-            level_latency_ns: self.level_latency_ns.delta_since(&earlier.level_latency_ns),
-            workers: self.workers.clone(),
-            queue_depth: self.queue_depth,
-            queue_depth_hwm: self.queue_depth_hwm,
             pool: self.pool.clone(),
             // Point-in-time gauges: carried, not subtracted.
             mem: self.mem.clone(),
@@ -753,9 +604,8 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot in the Prometheus text exposition format:
-    /// `alphonse_<counter>` counters, `alphonse_worker_*{slot=…}` /
-    /// `alphonse_shard_*{shard=…}` gauges and cumulative `_bucket{le=…}`
-    /// histograms.
+    /// `alphonse_<counter>` counters, `alphonse_shard_*{shard=…}` gauges and
+    /// cumulative `_bucket{le=…}` histograms.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write;
@@ -768,37 +618,6 @@ impl MetricsSnapshot {
         prom_hist(&mut out, "alphonse_wave_latency_ns", &self.wave_latency_ns);
         prom_hist(&mut out, "alphonse_wave_executed", &self.wave_executed);
         prom_hist(&mut out, "alphonse_wave_wasted", &self.wave_wasted);
-        prom_hist(&mut out, "alphonse_level_width", &self.level_width);
-        prom_hist(
-            &mut out,
-            "alphonse_level_latency_ns",
-            &self.level_latency_ns,
-        );
-        let _ = writeln!(out, "# TYPE alphonse_exec_queue_depth gauge");
-        let _ = writeln!(out, "alphonse_exec_queue_depth {}", self.queue_depth);
-        let _ = writeln!(out, "# TYPE alphonse_exec_queue_depth_hwm gauge");
-        let _ = writeln!(
-            out,
-            "alphonse_exec_queue_depth_hwm {}",
-            self.queue_depth_hwm
-        );
-        for w in &self.workers {
-            let _ = writeln!(
-                out,
-                "alphonse_worker_busy_ns{{slot=\"{}\"}} {}",
-                w.slot, w.busy_ns
-            );
-            let _ = writeln!(
-                out,
-                "alphonse_worker_idle_ns{{slot=\"{}\"}} {}",
-                w.slot, w.idle_ns
-            );
-            let _ = writeln!(
-                out,
-                "alphonse_worker_jobs{{slot=\"{}\"}} {}",
-                w.slot, w.jobs
-            );
-        }
         // Suppressed entirely when no tracking allocator fed the counters
         // (every tag zero), so allocator-less binaries keep their old output.
         if !self.mem.is_empty() {
@@ -863,12 +682,10 @@ impl MetricsSnapshot {
             let _ = write!(out, ":{v}");
         }
         out.push_str("},\"histograms\":{");
-        let hists: [(&str, &HistogramSnapshot); 5] = [
+        let hists: [(&str, &HistogramSnapshot); 3] = [
             ("wave_latency_ns", &self.wave_latency_ns),
             ("wave_executed", &self.wave_executed),
             ("wave_wasted", &self.wave_wasted),
-            ("level_width", &self.level_width),
-            ("level_latency_ns", &self.level_latency_ns),
         ];
         for (k, (name, h)) in hists.into_iter().enumerate() {
             if k > 0 {
@@ -878,22 +695,7 @@ impl MetricsSnapshot {
             out.push(':');
             json_hist(&mut out, h);
         }
-        let _ = write!(
-            out,
-            "}},\"gauges\":{{\"queue_depth\":{},\"queue_depth_hwm\":{}}},\"workers\":[",
-            self.queue_depth, self.queue_depth_hwm
-        );
-        for (k, w) in self.workers.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"slot\":{},\"busy_ns\":{},\"idle_ns\":{},\"jobs\":{}}}",
-                w.slot, w.busy_ns, w.idle_ns, w.jobs
-            );
-        }
-        out.push(']');
+        out.push('}');
         if !self.mem.is_empty() {
             out.push_str(",\"mem\":{");
             for (k, t) in self.mem.tags.iter().enumerate() {
@@ -1083,19 +885,12 @@ mod tests {
         let snap = MetricsSnapshot {
             counters: vec![("executions", 5), ("waves", 2)],
             wave_latency_ns: h.snapshot(),
-            workers: vec![WorkerSnapshot {
-                slot: 0,
-                busy_ns: 100,
-                idle_ns: 50,
-                jobs: 3,
-            }],
             ..MetricsSnapshot::default()
         };
         let prom = snap.render_prometheus();
         assert!(prom.contains("alphonse_executions 5"));
         assert!(prom.contains("alphonse_wave_latency_ns_count 2"));
         assert!(prom.contains("alphonse_wave_latency_ns_bucket{le=\"+Inf\"} 2"));
-        assert!(prom.contains("alphonse_worker_busy_ns{slot=\"0\"} 100"));
         let json = snap.to_json();
         assert!(json.starts_with("{\"schema\":\"alphonse-metrics-v1\""));
         assert!(json.contains("\"executions\":5"));
@@ -1123,17 +918,5 @@ mod tests {
         let d = mk(5).delta_since(&mk(3));
         assert_eq!(d.counters, vec![("executions", 2)]);
         assert_eq!(d.wave_latency_ns.count(), 2);
-    }
-
-    #[test]
-    fn worker_utilization() {
-        let w = WorkerSnapshot {
-            slot: 0,
-            busy_ns: 75,
-            idle_ns: 25,
-            jobs: 1,
-        };
-        assert!((w.utilization() - 0.75).abs() < 1e-12);
-        assert_eq!(WorkerSnapshot::default().utilization(), 0.0);
     }
 }

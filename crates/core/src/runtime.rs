@@ -170,24 +170,6 @@ pub(crate) struct Inner {
     /// an entry `d` means total depth `1 + d`. Empty in steady state.
     deep_stack: FxHashMap<u32, u32>,
     stack: Vec<Frame>,
-    /// One call stack per executor-pool worker slot, indexed by the slot in
-    /// the worker's thread-local identity. Level-parallel draining gives
-    /// each concurrently running executor its own frame stack — dependence
-    /// recording on a worker thread targets that worker's innermost frame —
-    /// while everything else (values, flags, the graph) stays shared behind
-    /// the runtime lock. Empty between levels.
-    #[cfg(feature = "parallel")]
-    worker_stacks: Vec<Vec<Frame>>,
-    /// The `set_parallelism` knob: `0` = sequential evaluator (default),
-    /// `1` = level-at-a-time draining with inline execution (the honest
-    /// single-worker control), `n >= 2` = dispatch multi-node levels to an
-    /// `n`-worker pool.
-    #[cfg(feature = "parallel")]
-    parallelism: usize,
-    /// Lazily created persistent worker pool (first multi-node level with
-    /// `parallelism >= 2`). Rebuilt if the knob changes size.
-    #[cfg(feature = "parallel")]
-    exec_pool: Option<crate::exec_pool::ExecPool>,
     dirty: DirtyStore,
     partition: Option<UnionFind>,
     scheduling: Scheduling,
@@ -288,12 +270,6 @@ impl RuntimeBuilder {
                 names: FxHashMap::default(),
                 deep_stack: FxHashMap::default(),
                 stack: Vec::new(),
-                #[cfg(feature = "parallel")]
-                worker_stacks: Vec::new(),
-                #[cfg(feature = "parallel")]
-                parallelism: 0,
-                #[cfg(feature = "parallel")]
-                exec_pool: None,
                 dirty,
                 partition: self.partitioning.then(UnionFind::new),
                 scheduling: self.scheduling,
@@ -310,8 +286,6 @@ impl RuntimeBuilder {
                 stats: Stats::default(),
             })),
             exec_depth: Arc::new(AtomicU32::new(0)),
-            #[cfg(feature = "parallel")]
-            par_active: Arc::new(AtomicU32::new(0)),
             metrics: Arc::new(crate::metrics::RuntimeMetrics::new()),
             id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),
         }
@@ -365,21 +339,14 @@ pub struct Runtime {
     /// [`Runtime::in_tracked_context`] — the gate embedded hosts consult on
     /// *every* untracked location read (Section 6.1) — costs one atomic
     /// load instead of a lock round-trip. Written only while the lock is
-    /// held, by [`Runtime::push_frame`] and [`Runtime::pop_frame`], so the
+    /// held, by [`Runtime::exec_begin`] and [`Runtime::exec_end`], so the
     /// lock orders every update and a plain relaxed load and store (no
     /// lock-prefixed read-modify-write) is exact. The runtime is not
     /// `Sync`, so a relaxed load always observes the current thread's
     /// latest update.
     exec_depth: Arc<AtomicU32>,
-    /// Nonzero while a level of executors is running on the worker pool.
-    /// [`Runtime::lock`] consults it on contention: during a parallel level
-    /// the lock is legitimately shared between the driver and the workers,
-    /// so contention means *wait*; at any other time it means *re-entrancy
-    /// bug*, and the fail-stop panic is kept.
-    #[cfg(feature = "parallel")]
-    par_active: Arc<AtomicU32>,
-    /// Lock-free telemetry registry ([`crate::metrics`]): wave/level
-    /// histograms and worker gauges, recorded outside the runtime lock.
+    /// Lock-free telemetry registry ([`crate::metrics`]): the per-wave
+    /// histograms, recorded outside the runtime lock.
     /// Always present so `metrics_snapshot` stays source-compatible; the
     /// recording sites are compiled in by the `metrics` feature.
     #[cfg_attr(not(feature = "metrics"), allow(dead_code))]
@@ -421,43 +388,13 @@ impl Inner {
             .unwrap_or("<unnamed>")
     }
 
-    /// The call stack of the *current thread*: an executor-pool worker of
-    /// this runtime gets its own per-slot stack (concurrent executors must
-    /// not see each other's frames), every other thread — including the
-    /// propagation driver — uses the main stack. Compiles to `&mut
-    /// self.stack` without the `parallel` feature.
-    #[cfg(feature = "parallel")]
-    fn active_stack(&mut self) -> &mut Vec<Frame> {
-        if let Some((pool_id, slot)) = crate::exec_pool::worker_identity() {
-            if self.exec_pool.as_ref().is_some_and(|p| p.id() == pool_id) {
-                return &mut self.worker_stacks[slot];
-            }
-        }
-        &mut self.stack
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    #[inline(always)]
-    fn active_stack(&mut self) -> &mut Vec<Frame> {
-        &mut self.stack
-    }
-
-    /// Marks every live frame of node `n` stale, on the main stack and —
-    /// under level-parallel draining — on every worker stack. A stale
-    /// execution's result will be discarded (generation supersession), so
-    /// it must stop recording dependence edges.
+    /// Marks every live frame of node `n` stale. A stale execution's result
+    /// will be discarded (generation supersession), so it must stop
+    /// recording dependence edges.
     fn mark_stale_frames(&mut self, n: NodeId) {
         for frame in &mut self.stack {
             if frame.node == n {
                 frame.stale = true;
-            }
-        }
-        #[cfg(feature = "parallel")]
-        for stack in &mut self.worker_stacks {
-            for frame in stack {
-                if frame.node == n {
-                    frame.stale = true;
-                }
             }
         }
     }
@@ -552,16 +489,10 @@ impl Inner {
     /// executing (paper Algorithm 3's `CreateEdge` step), merging partitions
     /// as Section 6.3 prescribes.
     fn record_dependence(&mut self, n: NodeId) {
-        // Copy the top frame's routing state out first: `active_stack`
-        // borrows all of `self`, so the frame reference cannot be held
-        // across the counter/table updates below.
-        let (depth, epoch, v, stale, suppressed) = {
-            let stack = self.active_stack();
-            let depth = stack.len();
-            match stack.last() {
-                None => return,
-                Some(f) => (depth, f.epoch, f.node, f.stale, f.suppress > 0),
-            }
+        let depth = self.stack.len();
+        let (epoch, v, stale, suppressed) = match self.stack.last() {
+            None => return,
+            Some(f) => (f.epoch, f.node, f.stale, f.suppress > 0),
         };
         if stale {
             return;
@@ -574,9 +505,7 @@ impl Inner {
             // O(1) per-execution dedup: the edge was already recorded iff
             // the node's stamp equals this frame's epoch. Epochs are
             // globally unique, so stamps left by finished frames can never
-            // be mistaken for the current one. Concurrent same-level frames
-            // may clobber each other's stamps; that only weakens dedup (a
-            // parallel edge may slip through), never loses an edge.
+            // be mistaken for the current one.
             let stamp = self.last_accessed[n.index()];
             if stamp == epoch {
                 self.stats.dedup_hits += 1;
@@ -586,7 +515,7 @@ impl Inner {
                 // The stamp may belong to a live enclosing frame; remember
                 // it so popping this frame restores the enclosing
                 // execution's dedup set.
-                let frame = self.active_stack().last_mut().expect("frame checked above");
+                let frame = self.stack.last_mut().expect("frame checked above");
                 frame.overflow.push((n, stamp));
             }
             self.last_accessed[n.index()] = epoch;
@@ -746,23 +675,10 @@ impl Runtime {
         match self.inner.try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(TryLockError::WouldBlock) => {
-                // While a level of executors runs on the worker pool the
-                // lock is legitimately contended — the driver and every
-                // worker take it for short frame/commit/read sections — so
-                // block instead of treating contention as re-entrancy.
-                #[cfg(feature = "parallel")]
-                if self.par_active.load(Ordering::Acquire) > 0 {
-                    return match self.inner.lock() {
-                        Ok(guard) => guard,
-                        Err(e) => e.into_inner(),
-                    };
-                }
-                panic!(
-                    "runtime re-entered while internally locked: closures run by Var::with, \
-                     with_value and trace sinks must not call back into runtime operations"
-                )
-            }
+            Err(TryLockError::WouldBlock) => panic!(
+                "runtime re-entered while internally locked: closures run by Var::with, \
+                 with_value and trace sinks must not call back into runtime operations"
+            ),
         }
     }
 
@@ -788,53 +704,6 @@ impl Runtime {
         self.lock().scheduling
     }
 
-    /// Sets the wave-propagation parallelism (feature `parallel`):
-    ///
-    /// * `0` — the sequential evaluator (default; exactly the paper's
-    ///   Section 4.5 routine).
-    /// * `1` — level-at-a-time draining with inline execution: the same
-    ///   batching, barriers and trace brackets as the parallel scheduler
-    ///   but zero worker threads — the honest single-worker control for
-    ///   speedup measurements.
-    /// * `n >= 2` — multi-node levels run their eager executors
-    ///   concurrently on a persistent `n`-thread worker pool.
-    ///
-    /// Level draining only engages for the default configuration
-    /// (height-order scheduling, no partitioning); any other configuration
-    /// keeps the sequential evaluator regardless of this knob. See
-    /// DESIGN.md ("Parallel waves") for the execution model.
-    #[cfg(feature = "parallel")]
-    pub fn set_parallelism(&self, n: usize) {
-        let mut inner = self.lock();
-        if inner.parallelism != n {
-            inner.parallelism = n;
-            // A pool of the wrong size is rebuilt lazily on the next
-            // multi-node level; dropping it here joins its (idle) workers.
-            if inner.exec_pool.as_ref().is_some_and(|p| p.workers() != n) {
-                inner.exec_pool = None;
-            }
-        }
-    }
-
-    /// Without the `parallel` feature the knob is compiled out: this stub
-    /// ignores `n`, keeping callers source-compatible across feature
-    /// configurations.
-    #[cfg(not(feature = "parallel"))]
-    pub fn set_parallelism(&self, _n: usize) {}
-
-    /// The current wave-propagation parallelism (`0` = sequential
-    /// evaluator; always `0` without the `parallel` feature).
-    pub fn parallelism(&self) -> usize {
-        #[cfg(feature = "parallel")]
-        {
-            self.lock().parallelism
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            0
-        }
-    }
-
     /// A snapshot of the work counters.
     pub fn stats(&self) -> Stats {
         let mut inner = self.lock();
@@ -851,15 +720,13 @@ impl Runtime {
     }
 
     /// A complete telemetry snapshot: every [`Stats`] counter plus the
-    /// always-on wave/level latency histograms and executor-pool worker
-    /// gauges maintained by [`crate::metrics`]. The histograms are
-    /// maintained lock-free outside the runtime lock and are **not**
-    /// cleared by [`Runtime::reset_stats`]; isolate a phase with
+    /// always-on per-wave histograms maintained by [`crate::metrics`]. The
+    /// histograms are maintained lock-free outside the runtime lock and are
+    /// **not** cleared by [`Runtime::reset_stats`]; isolate a phase with
     /// [`MetricsSnapshot::delta_since`](crate::metrics::MetricsSnapshot::delta_since).
     ///
     /// Without the `metrics` feature the recording sites are compiled out:
-    /// the counters are still populated but every histogram and gauge reads
-    /// as empty.
+    /// the counters are still populated but every histogram reads as empty.
     pub fn metrics_snapshot(&self) -> crate::metrics::MetricsSnapshot {
         let m = &*self.metrics;
         let _mem = mem::scope(mem::Tag::Metrics);
@@ -868,11 +735,6 @@ impl Runtime {
             wave_latency_ns: m.wave_latency_ns.snapshot(),
             wave_executed: m.wave_executed.snapshot(),
             wave_wasted: m.wave_wasted.snapshot(),
-            level_width: m.level_width.snapshot(),
-            level_latency_ns: m.level_latency_ns.snapshot(),
-            workers: m.worker_snapshots(),
-            queue_depth: m.queue_depth.load(Ordering::Relaxed),
-            queue_depth_hwm: m.queue_depth_hwm.load(Ordering::Relaxed),
             pool: None,
             mem: mem::snapshot(),
         }
@@ -1039,14 +901,20 @@ impl Runtime {
         GraphSnapshot { nodes, edges }
     }
 
-    /// Verifies the runtime's internal data-structure invariants. Debug
-    /// builds only — release builds compile this to a no-op, so harnesses
-    /// (like the E11 differential tests) can call it unconditionally.
+    /// Verifies the runtime's internal data-structure invariants. Only call
+    /// this between top-level operations.
     ///
-    /// Checked invariants:
+    /// Checked in every build, in O(1):
     ///
-    /// * the call stack is empty (only call this between top-level
-    ///   operations) and every node's on-stack flag/depth is zero;
+    /// * no propagation wave is still marked in progress (a body that
+    ///   panicked inside [`Runtime::propagate`] leaves one stuck, and every
+    ///   later wave then returns at once);
+    /// * the call stack, the deep-stack side table and the
+    ///   [`Runtime::in_tracked_context`] depth shadow are all empty.
+    ///
+    /// Checked in debug builds only, in O(nodes + edges):
+    ///
+    /// * every node's on-stack flag is clear;
     /// * edge symmetry: the graph's successor and predecessor lists agree
     ///   as edge multisets;
     /// * every queued dirty node is a node of this runtime, and with
@@ -1057,26 +925,34 @@ impl Runtime {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) describing the first violated invariant.
+    /// Panics describing the first violated invariant.
     pub fn check_invariants(&self) {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        assert!(
+            !inner.evaluating,
+            "check_invariants: propagation wave {} is still marked in progress (stuck \
+             propagation: did a body panic inside propagate?); only call between top-level \
+             operations",
+            inner.wave
+        );
+        assert!(
+            inner.stack.is_empty(),
+            "check_invariants: {} execution frame(s) still active; only call between \
+             top-level operations",
+            inner.stack.len()
+        );
+        assert!(
+            inner.deep_stack.is_empty(),
+            "check_invariants: deep-stack side table non-empty with an empty call stack"
+        );
+        let depth = self.exec_depth.load(Ordering::Relaxed);
+        assert_eq!(
+            depth, 0,
+            "check_invariants: tracked-context depth is {depth} with an empty call stack"
+        );
         #[cfg(debug_assertions)]
         {
-            let mut guard = self.lock();
-            let inner = &mut *guard;
-            assert!(
-                inner.stack.is_empty(),
-                "check_invariants: {} execution frame(s) still active; only call between \
-                 top-level operations",
-                inner.stack.len()
-            );
-            #[cfg(feature = "parallel")]
-            for (slot, stack) in inner.worker_stacks.iter().enumerate() {
-                assert!(
-                    stack.is_empty(),
-                    "check_invariants: worker {slot} still holds {} execution frame(s)",
-                    stack.len()
-                );
-            }
             let n_nodes = inner.values.len();
             for (i, &f) in inner.flags.iter().enumerate() {
                 assert!(
@@ -1084,10 +960,6 @@ impl Runtime {
                     "check_invariants: node {i} is flagged on-stack with an empty call stack"
                 );
             }
-            assert!(
-                inner.deep_stack.is_empty(),
-                "check_invariants: deep-stack side table non-empty with an empty call stack"
-            );
             // Edge symmetry: every succ edge must have a matching pred edge
             // and vice versa, as multisets.
             let mut balance: FxHashMap<(NodeId, NodeId), i64> = FxHashMap::default();
@@ -1189,8 +1061,8 @@ impl Runtime {
     /// not stale, and no `(*UNCHECKED*)` suppression is active. Useful for
     /// asserting that statically pruned accesses really are irrelevant.
     pub fn recording_context(&self) -> bool {
-        let mut inner = self.lock();
-        matches!(inner.active_stack().last(), Some(f) if !f.stale && f.suppress == 0)
+        let inner = self.lock();
+        matches!(inner.stack.last(), Some(f) if !f.stale && f.suppress == 0)
     }
 
     /// What kind of entity node `n` represents.
@@ -1221,7 +1093,7 @@ impl Runtime {
         impl Drop for Guard<'_> {
             fn drop(&mut self) {
                 let mut inner = self.rt.lock();
-                let stack = inner.active_stack();
+                let stack = &mut inner.stack;
                 if stack.len() == self.depth {
                     if let Some(frame) = stack.last_mut() {
                         frame.suppress -= 1;
@@ -1231,7 +1103,7 @@ impl Runtime {
         }
         let depth = {
             let mut inner = self.lock();
-            let stack = inner.active_stack();
+            let stack = &mut inner.stack;
             if let Some(frame) = stack.last_mut() {
                 frame.suppress += 1;
             }
@@ -1557,19 +1429,10 @@ impl Runtime {
     /// computed value to its caller (the `Some` case of
     /// [`Runtime::exec_end`]) but leaves cache, consistency flag and
     /// dependency edges to the fresher run.
+    ///
+    /// The `exec_depth` shadow is a plain load and store because the
+    /// caller's guard orders every update (see [`Runtime::exec_depth`]).
     fn exec_begin(&self, inner: &mut Inner, n: NodeId) -> u64 {
-        let (my_gen, frame) = self.exec_book(inner, n);
-        self.push_frame(inner, frame);
-        my_gen
-    }
-
-    /// The bookkeeping half of [`Runtime::exec_begin`]: everything except
-    /// pushing the call frame. The level-parallel scheduler books a whole
-    /// batch under one guard on the driver thread and hands each returned
-    /// frame to the worker that will run the executor (the frame must live
-    /// on the *executing* thread's stack for dependence recording to target
-    /// it); the sequential path pushes it straight onto the current stack.
-    fn exec_book(&self, inner: &mut Inner, n: NodeId) -> (u64, Frame) {
         inner.stats.executions += 1;
         let before = inner.graph.edges_removed();
         inner.graph.remove_pred_edges(n);
@@ -1590,13 +1453,15 @@ impl Runtime {
         inner.gens[i] = my_gen;
         inner.frame_epoch += 1;
         let epoch = inner.frame_epoch;
-        let frame = Frame {
+        inner.stack.push(Frame {
             node: n,
             epoch,
             overflow: Vec::new(),
             suppress: 0,
             stale: false,
-        };
+        });
+        let depth = self.exec_depth.load(Ordering::Relaxed);
+        self.exec_depth.store(depth + 1, Ordering::Relaxed);
         #[cfg(feature = "trace")]
         {
             emit!(inner, TraceEvent::ExecuteBegin { node: n });
@@ -1610,15 +1475,15 @@ impl Runtime {
                 );
             }
         }
-        (my_gen, frame)
+        my_gen
     }
 
-    /// Second half of an execution: pops the call frame and commits (or,
-    /// when superseded — the `Some` return — hands back) the computed
-    /// value, plus whether the cache changed. Runs
-    /// under the caller's guard so the commit can share a lock round-trip
-    /// with whatever follows it (successor dirtying in the evaluation loop,
-    /// dependence recording on the memo call path).
+    /// Second half of an execution: pops the call frame (restoring the
+    /// dedup stamps it overwrote) and commits (or, when superseded — the
+    /// `Some` return — hands back) the computed value, plus whether the
+    /// cache changed. Runs under the caller's guard so the commit can share
+    /// a lock round-trip with whatever follows it (successor dirtying in
+    /// the evaluation loop, dependence recording on the memo call path).
     fn exec_end(
         &self,
         inner: &mut Inner,
@@ -1626,26 +1491,7 @@ impl Runtime {
         my_gen: u64,
         value: Box<dyn Value>,
     ) -> (Option<Box<dyn Value>>, bool) {
-        self.pop_frame(inner, n);
-        self.exec_commit(inner, n, my_gen, value)
-    }
-
-    /// Pushes a booked frame onto the current thread's call stack. The
-    /// `exec_depth` shadow is a plain load and store because the caller's
-    /// guard orders every update (see [`Runtime::exec_depth`]).
-    fn push_frame(&self, inner: &mut Inner, frame: Frame) {
-        inner.active_stack().push(frame);
-        let depth = self.exec_depth.load(Ordering::Relaxed);
-        self.exec_depth.store(depth + 1, Ordering::Relaxed);
-    }
-
-    /// The frame half of [`Runtime::exec_end`]: pops the current thread's
-    /// innermost frame, restores overwritten dedup stamps and drops the
-    /// node's on-stack depth. Under level-parallel draining each worker
-    /// pops its own frame as soon as its executor returns (before the
-    /// level's barrier), so re-queued dirt never sees a dead frame.
-    fn pop_frame(&self, inner: &mut Inner, n: NodeId) {
-        let frame = inner.active_stack().pop().expect("frame pushed above");
+        let frame = inner.stack.pop().expect("frame pushed by exec_begin");
         let depth = self.exec_depth.load(Ordering::Relaxed);
         self.exec_depth.store(depth - 1, Ordering::Relaxed);
         debug_assert_eq!(frame.node, n, "call stack imbalance");
@@ -1656,22 +1502,8 @@ impl Runtime {
         for (node, stamp) in frame.overflow.into_iter().rev() {
             inner.last_accessed[node.index()] = stamp;
         }
-        inner.on_stack_dec(n.index());
-    }
-
-    /// The commit half of [`Runtime::exec_end`]: generation supersession
-    /// check, cutoff comparison, cache store and re-queue handling. The
-    /// level-parallel scheduler commits a whole level's results in batch
-    /// order under one guard; the sequential path commits immediately after
-    /// popping the frame.
-    fn exec_commit(
-        &self,
-        inner: &mut Inner,
-        n: NodeId,
-        my_gen: u64,
-        value: Box<dyn Value>,
-    ) -> (Option<Box<dyn Value>>, bool) {
         let i = n.index();
+        inner.on_stack_dec(i);
         let superseded = inner.gens[i] != my_gen;
         let requeue = if superseded {
             false
@@ -1892,8 +1724,6 @@ impl Runtime {
         let steps_before;
         #[cfg(feature = "metrics")]
         let (execs_before, wasted_before);
-        #[cfg(feature = "parallel")]
-        let level_mode;
         {
             let mut inner = self.lock();
             if inner.evaluating {
@@ -1911,18 +1741,6 @@ impl Runtime {
                 execs_before = inner.stats.executions;
                 wasted_before = inner.stats.wasted_executions;
             }
-            // Level draining requires the default configuration: a single
-            // global inconsistent set (so one `pop_level` sees the whole
-            // frontier; `origin` is then irrelevant — the sequential
-            // evaluator also drains the global set regardless of origin)
-            // and height-order scheduling (Fifo has no independence
-            // guarantee between queue neighbours).
-            #[cfg(feature = "parallel")]
-            {
-                level_mode = inner.parallelism >= 1
-                    && inner.scheduling == Scheduling::HeightOrder
-                    && matches!(inner.dirty, DirtyStore::Global(_));
-            }
             emit!(inner, TraceEvent::PropagateBegin { wave: inner.wave });
         }
         // Wave clock: stamped outside the lock, after the nested-wave early
@@ -1930,13 +1748,6 @@ impl Runtime {
         // switch skips the clock read entirely.
         #[cfg(feature = "metrics")]
         let wave_t0 = crate::metrics::enabled().then(std::time::Instant::now);
-        #[cfg(feature = "parallel")]
-        if level_mode {
-            self.drain_levels(max_steps);
-        } else {
-            self.drain_sequential(origin, max_steps);
-        }
-        #[cfg(not(feature = "parallel"))]
         self.drain_sequential(origin, max_steps);
         let mut inner = self.lock();
         inner.evaluating = false;
@@ -2000,232 +1811,6 @@ impl Runtime {
                 break;
             }
         }
-    }
-
-    /// Level-parallel drain: processes the inconsistent set one *height
-    /// level* at a time. All dirty nodes at the current minimum height are
-    /// mutually independent (an edge between two nodes forces a height
-    /// difference), so the level's eager executors may run concurrently.
-    ///
-    /// Lock discipline per level — one driver acquisition on each side of
-    /// the execution window:
-    ///
-    /// 1. **Drain + book** (one guard): `pop_level` the batch, handle
-    ///    mutation-only nodes (locations, demand marking, on-stack
-    ///    re-queue) inline, book every eager node (`exec_book`, in batch
-    ///    order — deterministic, matching the sequential pop order) and
-    ///    enqueue the worker jobs.
-    /// 2. **Execute** (no driver lock): workers push their frames, run the
-    ///    executors and pop their frames, taking the lock only for those
-    ///    short sections and for tracked reads; `par_active` makes
-    ///    contention block instead of tripping the re-entrancy panic. With
-    ///    `parallelism <= 1` or a single-node batch the driver runs the
-    ///    executors inline instead.
-    /// 3. **Commit** (one guard): store each result in batch order
-    ///    (generation check, cutoff comparison), dirty the successors of
-    ///    changed nodes, close the `LevelEnd` bracket and update the
-    ///    parallel stats.
-    ///
-    /// The `max_steps` preemption bound is checked between levels (a level
-    /// is never split), so bounded drains are level-granular here — coarser
-    /// than the sequential evaluator's per-node bound but with the same
-    /// contract: remaining work stays queued for a later slice.
-    #[cfg(feature = "parallel")]
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))] // `height` feeds the trace brackets
-    fn drain_levels(&self, max_steps: u64) {
-        use std::sync::mpsc::channel;
-        let mut steps = 0u64;
-        let mut batch: Vec<NodeId> = Vec::new();
-        let mut booked: Vec<(NodeId, Executor, u64, Option<Frame>)> = Vec::new();
-        loop {
-            if steps >= max_steps {
-                break;
-            }
-            let mut guard = self.lock();
-            let inner = &mut *guard;
-            batch.clear();
-            let DirtyStore::Global(dirty) = &mut inner.dirty else {
-                unreachable!("level mode requires the global dirty store");
-            };
-            let Some(height) = dirty.pop_level(&mut batch) else {
-                break;
-            };
-            let width = batch.len() as u64;
-            inner.stats.level_width_hwm = inner.stats.level_width_hwm.max(width);
-            #[cfg(feature = "metrics")]
-            self.metrics.level_width.record(width);
-            emit!(
-                inner,
-                TraceEvent::LevelBegin {
-                    wave: inner.wave,
-                    height,
-                    width,
-                }
-            );
-            booked.clear();
-            for &u in &batch {
-                steps += 1;
-                inner.stats.propagation_steps += 1;
-                let i = u.index();
-                let f = inner.flags[i];
-                if f & F_COMP == 0 {
-                    // Storage location: forward the change to everything
-                    // computed from it. Successors sit at strictly greater
-                    // heights, so they join later levels, never this batch.
-                    inner.dirty_succs_of(u);
-                } else if f & F_EAGER == 0 {
-                    // Demand: just mark out-of-date and propagate.
-                    if f & F_CONSISTENT != 0 {
-                        inner.flags[i] &= !F_CONSISTENT;
-                        inner.dirty_succs_of(u);
-                    }
-                } else if f & F_ON_STACK != 0 {
-                    // Mid-execution (a nested drain under a live memo
-                    // frame): mark stale and re-queue on completion.
-                    inner.flags[i] &= !F_CONSISTENT;
-                    inner.flags[i] |= F_REQUEUE;
-                    inner.dirty_succs_of(u);
-                } else {
-                    let (my_gen, frame) = self.exec_book(inner, u);
-                    booked.push((u, inner.executor(u), my_gen, Some(frame)));
-                }
-            }
-            let executed = booked.len() as u64;
-            let pooled = booked.len() >= 2 && inner.parallelism >= 2;
-            if pooled {
-                let workers = inner.parallelism;
-                if inner
-                    .exec_pool
-                    .as_ref()
-                    .is_none_or(|p| p.workers() != workers)
-                {
-                    inner.exec_pool = Some(crate::exec_pool::ExecPool::new(
-                        workers,
-                        Arc::clone(&self.metrics),
-                    ));
-                }
-                while inner.worker_stacks.len() < workers {
-                    inner.worker_stacks.push(Vec::new());
-                }
-                inner.stats.parallel_levels += 1;
-                inner.stats.parallel_executions += executed;
-                // Workers may contend for the lock from here on: flip the
-                // blocking-lock mode before the first job can start (jobs
-                // are submitted below while this guard is still held, so no
-                // worker can observe the flag too early).
-                self.par_active.fetch_add(1, Ordering::Release);
-                #[cfg(feature = "metrics")]
-                let level_t0 = crate::metrics::enabled().then(std::time::Instant::now);
-                let (tx, rx) = channel::<(usize, Box<dyn Value>)>();
-                let pool = inner.exec_pool.as_ref().expect("created above");
-                for (idx, (u, executor, _, frame)) in booked.iter_mut().enumerate() {
-                    let rt = self.clone();
-                    let u = *u;
-                    let executor = Arc::clone(executor);
-                    let frame = frame.take().expect("frame booked above");
-                    let tx = tx.clone();
-                    pool.submit(mem::with(mem::Tag::ExecPool, || {
-                        Box::new(move || {
-                            rt.run_pooled_exec(u, frame, &executor, idx, &tx);
-                        })
-                    }));
-                }
-                drop(tx);
-                drop(guard);
-                // Level barrier: wait for every executor. A worker whose
-                // job panicked drops its sender without sending; surface
-                // that as the driver-side panic the sequential path would
-                // have had.
-                let mut results: Vec<Option<Box<dyn Value>>> =
-                    (0..booked.len()).map(|_| None).collect();
-                let mut received = 0usize;
-                for (idx, value) in rx {
-                    results[idx] = Some(value);
-                    received += 1;
-                }
-                self.par_active.fetch_sub(1, Ordering::Release);
-                #[cfg(feature = "metrics")]
-                if let Some(t0) = level_t0 {
-                    self.metrics
-                        .level_latency_ns
-                        .record(t0.elapsed().as_nanos() as u64);
-                }
-                assert_eq!(
-                    received,
-                    booked.len(),
-                    "an executor panicked on a worker thread; the runtime is in an \
-                     unspecified state"
-                );
-                let mut guard = self.lock();
-                let inner = &mut *guard;
-                for ((u, _, my_gen, _), value) in booked.drain(..).zip(results.drain(..)) {
-                    let value = value.expect("all results received");
-                    let (_, changed) = self.exec_commit(inner, u, my_gen, value);
-                    if changed {
-                        inner.dirty_succs_of(u);
-                    }
-                }
-                emit!(
-                    inner,
-                    TraceEvent::LevelEnd {
-                        wave: inner.wave,
-                        height,
-                        executed,
-                    }
-                );
-            } else {
-                // Inline execution (parallelism <= 1, or a level with at
-                // most one eager node): same batching and brackets as the
-                // pooled path, zero worker threads. Results still commit
-                // together after the whole level has run, so `1` is an
-                // honest single-worker control.
-                drop(guard);
-                let mut results: Vec<Box<dyn Value>> = Vec::with_capacity(booked.len());
-                for (u, executor, _, frame) in booked.iter_mut() {
-                    let frame = frame.take().expect("frame booked above");
-                    self.push_frame(&mut self.lock(), frame);
-                    let value = executor(self);
-                    self.pop_frame(&mut self.lock(), *u);
-                    results.push(value);
-                }
-                let mut guard = self.lock();
-                let inner = &mut *guard;
-                for ((u, _, my_gen, _), value) in booked.drain(..).zip(results.drain(..)) {
-                    let (_, changed) = self.exec_commit(inner, u, my_gen, value);
-                    if changed {
-                        inner.dirty_succs_of(u);
-                    }
-                }
-                emit!(
-                    inner,
-                    TraceEvent::LevelEnd {
-                        wave: inner.wave,
-                        height,
-                        executed,
-                    }
-                );
-            }
-        }
-    }
-
-    /// One pooled execution, run on a worker thread: push the pre-booked
-    /// frame onto this worker's stack, run the executor (its tracked reads
-    /// and nested memo calls take the blocking lock and record against this
-    /// worker's frame), pop the frame, and ship the result to the driver
-    /// for the level's batch commit.
-    #[cfg(feature = "parallel")]
-    fn run_pooled_exec(
-        &self,
-        n: NodeId,
-        frame: Frame,
-        executor: &Executor,
-        idx: usize,
-        tx: &std::sync::mpsc::Sender<(usize, Box<dyn Value>)>,
-    ) {
-        self.push_frame(&mut self.lock(), frame);
-        let value = executor(self);
-        self.pop_frame(&mut self.lock(), n);
-        let _ = tx.send((idx, value));
     }
 
     /// Pops and processes one dirty node; mutation-only cases are handled

@@ -46,9 +46,6 @@ macro_rules! for_each_counter {
             batched_writes,
             coalesced_writes,
             scratch_hwm,
-            parallel_levels,
-            parallel_executions,
-            level_width_hwm,
             mem_nodes,
             mem_edges_hwm,
             mem_bytes_hwm
@@ -136,19 +133,6 @@ pub struct Stats {
     /// successor scratch buffer. Once propagation reaches steady state this
     /// stops growing: fan-out performs zero heap allocations.
     pub scratch_hwm: u64,
-    /// Height levels whose eager batch was dispatched to the execution
-    /// worker pool (feature `parallel`, [`Runtime::set_parallelism`]
-    /// enabled). Single-node levels execute inline and are not counted.
-    ///
-    /// [`Runtime::set_parallelism`]: crate::Runtime::set_parallelism
-    pub parallel_levels: u64,
-    /// Executor runs performed on worker-pool threads (the per-node share
-    /// of `parallel_levels`; always `<= executions`).
-    pub parallel_executions: u64,
-    /// Widest dirty batch drained at a single height level — the available
-    /// parallelism high-water mark. Maintained whenever the level-drain
-    /// scheduler runs, including one-node levels.
-    pub level_width_hwm: u64,
     /// Dependency-graph nodes currently resident. Nodes are never freed, so
     /// this equals `nodes_created` since the last reset plus whatever
     /// existed before it — kept separate so memory gauges survive

@@ -191,32 +191,6 @@ pub enum TraceEvent {
         /// Dirty nodes processed during this run.
         steps: u64,
     },
-    /// The level-drain scheduler (feature `parallel`,
-    /// [`Runtime::set_parallelism`](crate::Runtime::set_parallelism)) pulled
-    /// the full batch of dirty nodes at one height and is about to process
-    /// it. Every [`TraceEvent::ExecuteBegin`]/[`TraceEvent::ExecuteEnd`]
-    /// pair until the matching [`TraceEvent::LevelEnd`] belongs to this
-    /// level; executions within a level may overlap in time.
-    LevelBegin {
-        /// The propagation wave this level belongs to.
-        wave: u64,
-        /// Dependency height shared by every node in the batch.
-        height: u32,
-        /// Number of dirty nodes drained at this height (mutation-only
-        /// steps included, not just eager re-executions).
-        width: u64,
-    },
-    /// All results of the level opened by the matching
-    /// [`TraceEvent::LevelBegin`] were committed and their dirt fanned out.
-    LevelEnd {
-        /// The propagation wave this level belongs to.
-        wave: u64,
-        /// Dependency height of the completed level.
-        height: u32,
-        /// Eager executors actually run for this level (`<=` the level's
-        /// width; the rest were mutation-only or demand-marking steps).
-        executed: u64,
-    },
     /// An incremental procedure instance began (re-)executing its body.
     ExecuteBegin {
         /// The computation node.
@@ -293,8 +267,6 @@ impl TraceEvent {
             TraceEvent::EdgeAdded { to, .. } => Some(*to),
             TraceEvent::PropagateBegin { .. }
             | TraceEvent::PropagateEnd { .. }
-            | TraceEvent::LevelBegin { .. }
-            | TraceEvent::LevelEnd { .. }
             | TraceEvent::BatchCommit { .. } => None,
         }
     }
@@ -491,16 +463,6 @@ fn describe_event(ev: &TraceEvent, labels: &Labels) -> String {
         TraceEvent::PropagateEnd { wave, steps } => {
             format!("propagate end (wave {wave}, {steps} steps)")
         }
-        TraceEvent::LevelBegin {
-            wave,
-            height,
-            width,
-        } => format!("level begin (wave {wave}, height {height}, width {width})"),
-        TraceEvent::LevelEnd {
-            wave,
-            height,
-            executed,
-        } => format!("level end (wave {wave}, height {height}, {executed} executed)"),
         TraceEvent::ExecuteBegin { node } => format!("exec begin {}", labels.of(*node)),
         TraceEvent::ExecuteEnd { node, changed } => {
             format!("exec end {} changed={changed}", labels.of(*node))
@@ -554,8 +516,6 @@ fn variant_name(ev: &TraceEvent) -> &'static str {
         TraceEvent::Dirtied { .. } => "Dirtied",
         TraceEvent::PropagateBegin { .. } => "PropagateBegin",
         TraceEvent::PropagateEnd { .. } => "PropagateEnd",
-        TraceEvent::LevelBegin { .. } => "LevelBegin",
-        TraceEvent::LevelEnd { .. } => "LevelEnd",
         TraceEvent::ExecuteBegin { .. } => "ExecuteBegin",
         TraceEvent::ExecuteEnd { .. } => "ExecuteEnd",
         TraceEvent::CacheHit { .. } => "CacheHit",
@@ -623,14 +583,6 @@ fn jsonl_line(ts: u64, wave: &mut Option<u64>, ev: &TraceEvent, labels: &Labels)
         TraceEvent::PropagateBegin { .. } => {}
         TraceEvent::PropagateEnd { steps, .. } => {
             let _ = write!(out, r#","steps":{steps}"#);
-        }
-        TraceEvent::LevelBegin { height, width, .. } => {
-            let _ = write!(out, r#","height":{height},"width":{width}"#);
-        }
-        TraceEvent::LevelEnd {
-            height, executed, ..
-        } => {
-            let _ = write!(out, r#","height":{height},"executed":{executed}"#);
         }
         TraceEvent::EdgeAdded { from, to } => {
             let _ = write!(out, r#","from":{},"to":{}"#, from.index(), to.index());

@@ -207,7 +207,7 @@ mod wired {
             "# TYPE alphonse_executions counter",
             "# TYPE alphonse_wave_latency_ns histogram",
             "alphonse_wave_latency_ns_bucket{le=\"+Inf\"}",
-            "alphonse_exec_queue_depth 0",
+            "# TYPE alphonse_wave_executed histogram",
         ] {
             assert!(prom.contains(needle), "missing `{needle}` in:\n{prom}");
         }

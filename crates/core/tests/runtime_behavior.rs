@@ -659,3 +659,34 @@ fn overestimated_height_hints_stay_correct() {
     assert_eq!(m.call(&rt, ()), 21);
     assert_eq!(rt.stats().height_seeded, 1);
 }
+
+#[test]
+fn check_invariants_names_a_propagation_left_stuck_by_a_caught_panic() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let rt = Runtime::new();
+    let x = rt.var(1i64);
+    let m = rt.memo_with("fails_on_two", Strategy::Eager, move |rt, &(): &()| {
+        let v = x.get(rt);
+        assert_ne!(v, 2, "injected body failure");
+        v
+    });
+    assert_eq!(m.call(&rt, ()), 1);
+    rt.check_invariants();
+    x.set(&rt, 2);
+    assert!(catch_unwind(AssertUnwindSafe(|| rt.propagate())).is_err());
+    // The failed wave never finished, so later waves return at once.
+    let waves = rt.stats().waves;
+    x.set(&rt, 3);
+    rt.propagate();
+    assert_eq!(rt.stats().waves, waves, "a further propagate ran a wave");
+    // The O(1) checks run in release builds too, and the stuck wave is
+    // named before the frame it leaked.
+    let payload = catch_unwind(AssertUnwindSafe(|| rt.check_invariants()))
+        .expect_err("check_invariants accepted a stuck session");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    assert!(msg.contains("stuck propagation"), "{msg}");
+}

@@ -79,38 +79,6 @@ impl HeightQueue {
         None
     }
 
-    /// Drains every queued node at the current minimum height into `out`,
-    /// returning that height (or `None` if the queue is empty).
-    ///
-    /// The batch is removed from the set *before* the caller sees it, so a
-    /// node re-inserted at the drained height while the batch is being
-    /// processed lands in a subsequent level, never in the in-flight one.
-    /// Within the level, nodes come out in the same order repeated [`pop`]
-    /// calls would produce (descending `NodeId` — the heap's tie order),
-    /// which keeps a level-at-a-time drain a stable reordering of the
-    /// one-at-a-time drain.
-    ///
-    /// [`pop`]: HeightQueue::pop
-    pub fn pop_level(&mut self, out: &mut Vec<NodeId>) -> Option<u32> {
-        let _mem = mem::scope(mem::Tag::Queues);
-        let mut level: Option<u32> = None;
-        while let Some(&(Reverse(h), n)) = self.heap.peek() {
-            if let Some(l) = level {
-                if h != l {
-                    break;
-                }
-            }
-            self.heap.pop();
-            if self.members.remove(&n) {
-                level = Some(h);
-                out.push(n);
-            }
-            // Stale heap entries (nodes removed via `remove`) are skipped
-            // without pinning the level height.
-        }
-        level
-    }
-
     /// Removes `n` from the set if queued. Returns `true` if it was present.
     pub fn remove(&mut self, n: NodeId) -> bool {
         self.members.remove(&n)
@@ -222,87 +190,6 @@ mod tests {
         assert_eq!(a.pop(), Some(ns[1]));
         assert_eq!(a.pop(), Some(ns[2]));
         assert_eq!(a.pop(), Some(ns[0]));
-    }
-
-    #[test]
-    fn pop_level_drains_one_height_at_a_time() {
-        let ns = nodes(5);
-        let mut q = HeightQueue::new();
-        q.insert(ns[0], 1);
-        q.insert(ns[1], 0);
-        q.insert(ns[2], 1);
-        q.insert(ns[3], 0);
-        q.insert(ns[4], 2);
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_level(&mut batch), Some(0));
-        batch.sort();
-        assert_eq!(batch, vec![ns[1], ns[3]]);
-        batch.clear();
-        assert_eq!(q.pop_level(&mut batch), Some(1));
-        batch.sort();
-        assert_eq!(batch, vec![ns[0], ns[2]]);
-        batch.clear();
-        assert_eq!(q.pop_level(&mut batch), Some(2));
-        assert_eq!(batch, vec![ns[4]]);
-        batch.clear();
-        assert_eq!(q.pop_level(&mut batch), None);
-        assert!(batch.is_empty());
-    }
-
-    #[test]
-    fn pop_level_matches_pop_order_within_a_level() {
-        // The level drain must be a stable reordering of the one-at-a-time
-        // drain: same members, same within-level sequence.
-        let ns = nodes(6);
-        let mut a = HeightQueue::new();
-        let mut b = HeightQueue::new();
-        for (i, &n) in ns.iter().enumerate() {
-            a.insert(n, (i % 2) as u32);
-            b.insert(n, (i % 2) as u32);
-        }
-        let mut level_order = Vec::new();
-        while a.pop_level(&mut level_order).is_some() {}
-        let pop_order: Vec<_> = std::iter::from_fn(|| b.pop()).collect();
-        assert_eq!(level_order, pop_order);
-    }
-
-    #[test]
-    fn same_height_reinsert_during_drain_joins_next_level() {
-        // A node re-queued at the height currently being drained must NOT
-        // join the in-flight batch: pop_level removed the batch from the
-        // set before the caller processes it.
-        let ns = nodes(3);
-        let mut q = HeightQueue::new();
-        q.insert(ns[0], 4);
-        q.insert(ns[1], 4);
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_level(&mut batch), Some(4));
-        assert_eq!(batch.len(), 2);
-        // "While the batch executes", ns[2] and a batch member are dirtied
-        // at the very height just drained.
-        assert!(q.insert(ns[2], 4));
-        assert!(q.insert(ns[0], 4));
-        let mut next = Vec::new();
-        assert_eq!(q.pop_level(&mut next), Some(4));
-        next.sort();
-        assert_eq!(next, vec![ns[0], ns[2]]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_level_skips_stale_entries() {
-        let ns = nodes(3);
-        let mut q = HeightQueue::new();
-        q.insert(ns[0], 0);
-        q.insert(ns[1], 1);
-        q.insert(ns[2], 1);
-        assert!(q.remove(ns[0])); // leaves a stale heap entry at height 0
-        assert!(q.remove(ns[2])); // stale entry inside the next level
-        let mut batch = Vec::new();
-        // The stale height-0 entry must not pin the level to height 0.
-        assert_eq!(q.pop_level(&mut batch), Some(1));
-        assert_eq!(batch, vec![ns[1]]);
-        assert_eq!(q.pop_level(&mut batch), None);
     }
 
     #[test]

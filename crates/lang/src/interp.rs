@@ -156,10 +156,8 @@ struct Shared {
 /// `Interp` is used from one thread at a time, and re-entering a held
 /// piece of state panics instead of deadlocking. The step counter and the
 /// pending-error flag rely on this and are updated without
-/// read-modify-write atomics. Alphonse-L procedure bodies must therefore
-/// not run on the runtime's `parallel` worker pool: leave
-/// [`Runtime::set_parallelism`] at its default for an interpreter's
-/// runtime.
+/// read-modify-write atomics. The runtime's evaluator runs every procedure
+/// body on the thread that drives it, so this holds for propagation too.
 pub struct Interp {
     shared: Arc<Shared>,
 }

@@ -67,18 +67,16 @@ pub enum Tag {
     Trace = 4,
     /// Metrics snapshots, histogram rendering, exposition strings.
     Metrics = 5,
-    /// Level-parallel executor pool: worker stacks, job boxes.
-    ExecPool = 6,
     /// Session pool: shard queues, tenant tables, work envelopes.
-    SessionPool = 7,
+    SessionPool = 6,
     /// Substrate overlays: sheet formula/cell maps, tree arenas, AG trees.
-    Substrate = 8,
+    Substrate = 7,
     /// No scope active on the allocating thread (user/harness memory).
-    Untagged = 9,
+    Untagged = 8,
 }
 
 /// Number of tags (length of the counter arrays).
-pub const TAG_COUNT: usize = 10;
+pub const TAG_COUNT: usize = 9;
 
 /// Every tag, in discriminant order (snapshot/report order).
 pub const ALL_TAGS: [Tag; TAG_COUNT] = [
@@ -88,7 +86,6 @@ pub const ALL_TAGS: [Tag; TAG_COUNT] = [
     Tag::Queues,
     Tag::Trace,
     Tag::Metrics,
-    Tag::ExecPool,
     Tag::SessionPool,
     Tag::Substrate,
     Tag::Untagged,
@@ -104,7 +101,6 @@ impl Tag {
             Tag::Queues => "queues",
             Tag::Trace => "trace",
             Tag::Metrics => "metrics",
-            Tag::ExecPool => "exec_pool",
             Tag::SessionPool => "session_pool",
             Tag::Substrate => "substrate",
             Tag::Untagged => "untagged",
@@ -277,7 +273,7 @@ mod imp {
     thread_local! {
         // Const-initialized, no Drop: no lazy-init allocation and no
         // destructor registration, so reading it from inside the allocator
-        // cannot recurse (same pattern as the exec pool's WORKER_IDENTITY).
+        // cannot recurse.
         static TLS: TlsState = const {
             TlsState {
                 tag: Cell::new(Tag::Untagged as u8),

@@ -121,7 +121,7 @@ fn realloc_rebills_original_tag() {
 fn cross_thread_free_debits_allocating_tag() {
     let _l = lock();
     let before = live();
-    let v = with(Tag::ExecPool, || vec![0u64; 512]);
+    let v = with(Tag::SessionPool, || vec![0u64; 512]);
     std::thread::spawn(move || drop(v)).join().unwrap();
     assert_eq!(live(), before, "cross-thread free lost the tag");
 }

@@ -18,11 +18,9 @@
 //!   the runtime's own `render_dot`), and a per-node hot-spot table.
 //!
 //! Beyond traces, [`metrics`] reads the runtime's `alphonse-metrics-v1`
-//! snapshot files (wave-latency histograms, worker/shard gauges,
-//! per-subsystem memory gauges) and renders percentile reports or the
-//! delta between two snapshots, [`benchdiff`] compares two bench result
-//! tables (`BENCH_<id>.json`) and flags bad-direction changes, and
-//! [`staticgraph`] reads the compiler's `alphonse-staticgraph` documents
+//! snapshot files (wave-latency histograms, shard gauges, per-subsystem
+//! memory gauges) and renders percentile reports or the delta between two
+//! snapshots, and [`staticgraph`] reads the compiler's `alphonse-staticgraph` documents
 //! (`alphonse-check graph`) and cross-validates a dynamic trace against
 //! them: every runtime dependence edge must be covered by a static one.
 //!
@@ -30,7 +28,6 @@
 //! the CLI surface. Parsing is serde-free ([`json`]) because the build
 //! environment is offline.
 
-pub mod benchdiff;
 pub mod json;
 pub mod metrics;
 pub mod model;

@@ -8,7 +8,6 @@
 //! alphonse-trace dot <trace.jsonl>
 //! alphonse-trace hot <trace.jsonl> [--top K]
 //! alphonse-trace metrics <snapshot.json> [<baseline.json>]
-//! alphonse-trace bench-diff <baseline.json> <candidate.json> [--threshold <pct>]
 //! alphonse-trace check-static <trace.jsonl> <staticgraph.json>
 //! ```
 //!
@@ -44,7 +43,7 @@ commands:
       Print the trace as Chrome trace-event JSON (load it in Perfetto or
       chrome://tracing): execution and propagation spans, with each
       execution's own reads and new edges in its args, plus instants for
-      writes, dirtyings, cache hits, cutoffs, levels and batch commits.
+      writes, dirtyings, cache hits, cutoffs and batch commits.
   dot <trace.jsonl>
       Print the dependency graph mirrored from the trace as Graphviz DOT:
       kinds, labels, edges, stale and queued nodes, execution ordinals and
@@ -56,17 +55,11 @@ commands:
   metrics <snapshot.json> [<baseline.json>]
       Pretty-print a runtime metrics snapshot (`MetricsSnapshot::to_json`
       output, e.g. a bench METRICS_<id>.json sidecar): counter totals,
-      p50/p90/p99/max per latency histogram, worker utilization, shard
-      gauges, and per-subsystem memory gauges with derived bytes/node when
-      the producing binary installed the tracking allocator. With a second
+      p50/p90/p99/max per latency histogram, shard gauges, and
+      per-subsystem memory gauges with derived bytes/node when the
+      producing binary installed the tracking allocator. With a second
       file, report the change from <baseline.json> to <snapshot.json>
       instead (counters and histograms subtract).
-  bench-diff <baseline.json> <candidate.json> [--threshold <pct>]
-      Compare two bench result tables (BENCH_<id>.json): rows match by
-      their descriptive string cells, every shared numeric column reports
-      its percent change, and changes in the bad direction (latency up,
-      throughput down) beyond the threshold (default 5%) are flagged.
-      Exit 0 when nothing regressed past the threshold, 1 otherwise.
   check-static <trace.jsonl> <staticgraph.json>
       Cross-validate a dynamic trace against the compiler's abstract
       dependency graph (`alphonse-check graph` output): every runtime
@@ -230,44 +223,6 @@ fn take_opt(args: &mut Vec<String>, flag: &str) -> Option<Result<String, String>
     Some(Ok(v))
 }
 
-fn cmd_bench_diff(mut args: Vec<String>) -> ExitCode {
-    let threshold = match take_opt(&mut args, "--threshold") {
-        None => 5.0,
-        Some(Ok(v)) => match v.parse::<f64>() {
-            Ok(t) if t >= 0.0 => t,
-            _ => {
-                return fail(&format!(
-                    "--threshold wants a non-negative percent, got `{v}`"
-                ))
-            }
-        },
-        Some(Err(e)) => return fail(&e),
-    };
-    let [baseline, candidate] = args.as_slice() else {
-        return fail(
-            "bench-diff takes <baseline.json> <candidate.json> [--threshold <pct>]\n\n\
-             — see alphonse-trace --help",
-        );
-    };
-    let load = |path: &str| -> Result<alphonse_trace_tools::benchdiff::BenchTable, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        alphonse_trace_tools::benchdiff::BenchTable::parse(&text)
-            .map_err(|e| format!("{path}: {e}"))
-    };
-    match (load(baseline), load(candidate)) {
-        (Ok(before), Ok(after)) => {
-            let report = alphonse_trace_tools::benchdiff::diff(&before, &after);
-            emit(&report.render(threshold));
-            if report.worst_regression_pct() > threshold {
-                ExitCode::from(1)
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        (Err(e), _) | (_, Err(e)) => fail(&e),
-    }
-}
-
 fn cmd_check_static(args: Vec<String>) -> ExitCode {
     let [trace_path, graph_path] = args.as_slice() else {
         return fail(
@@ -316,7 +271,6 @@ fn main() -> ExitCode {
         "dot" => cmd_report(args, views::dot),
         "hot" => cmd_hot(args),
         "metrics" => cmd_metrics(args),
-        "bench-diff" => cmd_bench_diff(args),
         "check-static" => cmd_check_static(args),
         other => fail(&format!("unknown command `{other}`\n\n{USAGE}")),
     }

@@ -2,30 +2,22 @@
 //!
 //! The runtime's [`MetricsSnapshot::to_json`] (and the bench harness's
 //! `METRICS_<id>.json` sidecars) serialize histograms in sparse bucket
-//! form. This module parses them back — counters, the five runtime
-//! histograms, worker and shard gauges — and renders either one snapshot
-//! (percentile readout per histogram, utilization per worker) or the
-//! change between two (counters subtract, histograms bucket-subtract via
+//! form. This module parses them back — counters, the per-wave runtime
+//! histograms, shard and memory gauges — and renders either one snapshot
+//! (percentile readout per histogram) or the change between two (counters
+//! subtract, histograms bucket-subtract via
 //! [`HistogramSnapshot::delta_since`]).
+//!
+//! Snapshots written before the level-parallel scheduler was removed also
+//! carry `level_*` histograms, a `gauges` object and a `workers` array;
+//! the reader skips them, so such files still render their counters and
+//! wave histograms.
 //!
 //! [`MetricsSnapshot::to_json`]: alphonse::MetricsSnapshot::to_json
 
 use crate::json::Json;
 use alphonse::HistogramSnapshot;
 use std::fmt::Write as _;
-
-/// One parsed worker row (`workers` array of the snapshot document).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerRow {
-    /// Worker slot index within the execution pool.
-    pub slot: u64,
-    /// Nanoseconds spent running jobs.
-    pub busy_ns: u64,
-    /// Nanoseconds spent waiting for jobs.
-    pub idle_ns: u64,
-    /// Jobs completed.
-    pub jobs: u64,
-}
 
 /// One parsed shard row (`pool.shards` of the snapshot document).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,12 +67,6 @@ pub struct MetricsDoc {
     /// Named histograms, in document order. Names ending in `_ns` hold
     /// nanosecond latencies; the rest hold dimensionless per-wave counts.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// Current pooled-executor queue depth.
-    pub queue_depth: u64,
-    /// High-water mark of the executor queue.
-    pub queue_depth_hwm: u64,
-    /// Per-worker busy/idle gauges (empty unless a worker pool ran).
-    pub workers: Vec<WorkerRow>,
     /// Per-subsystem memory gauges (empty unless the producing binary
     /// installed the tracking allocator).
     pub mem: Vec<MemRow>,
@@ -147,19 +133,12 @@ impl MetricsDoc {
         }
         let mut histograms = Vec::new();
         if let Some(Json::Obj(fields)) = doc.get("histograms") {
-            for (name, v) in fields {
+            for (name, v) in fields
+                .iter()
+                .filter(|(name, _)| !name.starts_with("level_"))
+            {
                 histograms.push((name.clone(), parse_hist(v, name)?));
             }
-        }
-        let gauges = doc.get("gauges").ok_or("missing `gauges` section")?;
-        let mut workers = Vec::new();
-        for w in doc.get("workers").and_then(Json::as_arr).unwrap_or(&[]) {
-            workers.push(WorkerRow {
-                slot: field_u64(w, "slot", "worker")?,
-                busy_ns: field_u64(w, "busy_ns", "worker")?,
-                idle_ns: field_u64(w, "idle_ns", "worker")?,
-                jobs: field_u64(w, "jobs", "worker")?,
-            });
         }
         let mut mem = Vec::new();
         if let Some(Json::Obj(tags)) = doc.get("mem") {
@@ -201,18 +180,15 @@ impl MetricsDoc {
         Ok(MetricsDoc {
             counters,
             histograms,
-            queue_depth: field_u64(gauges, "queue_depth", "gauges")?,
-            queue_depth_hwm: field_u64(gauges, "queue_depth_hwm", "gauges")?,
-            workers,
             mem,
             pool,
         })
     }
 
     /// The change from `before` to `self`: counters and histogram buckets
-    /// subtract (entries absent from `before` pass through); gauges, worker,
-    /// shard and memory rows are level readings, so the later snapshot's
-    /// values are reported as-is.
+    /// subtract (entries absent from `before` pass through); shard and
+    /// memory rows are level readings, so the later snapshot's values are
+    /// reported as-is.
     pub fn delta_since(&self, before: &MetricsDoc) -> MetricsDoc {
         let mut d = self.clone();
         for (name, v) in &mut d.counters {
@@ -253,28 +229,6 @@ impl MetricsDoc {
                 cell(h.percentile(0.90)),
                 cell(h.percentile(0.99)),
                 cell(h.max),
-            );
-        }
-        let _ = writeln!(out, "\n## executor");
-        let _ = writeln!(
-            out,
-            "queue_depth {} (hwm {})",
-            self.queue_depth, self.queue_depth_hwm
-        );
-        for w in &self.workers {
-            let total = w.busy_ns + w.idle_ns;
-            let util = if total == 0 {
-                0.0
-            } else {
-                w.busy_ns as f64 / total as f64 * 100.0
-            };
-            let _ = writeln!(
-                out,
-                "worker {}: busy {} idle {} jobs {} utilization {util:.0}%",
-                w.slot,
-                fmt_ns(w.busy_ns),
-                fmt_ns(w.idle_ns),
-                w.jobs,
             );
         }
         if !self.mem.is_empty() {
@@ -379,25 +333,48 @@ mod tests {
         rt.metrics_snapshot().to_json()
     }
 
+    /// A committed snapshot written by the E9 harness before the level
+    /// scheduler was removed: it still carries `level_*` histograms, a
+    /// `gauges` object and a `workers` array.
+    const E9_SNAPSHOT: &str = include_str!("../../../METRICS_E9.json");
+
     #[test]
     fn round_trips_a_runtime_snapshot() {
-        let text = sample_doc();
-        let doc = MetricsDoc::parse(&text).expect("parses");
-        assert!(doc.counters.iter().any(|(n, _)| n == "waves"));
+        for text in [sample_doc(), E9_SNAPSHOT.to_string()] {
+            let doc = MetricsDoc::parse(&text).expect("parses");
+            assert!(doc.counters.iter().any(|(n, _)| n == "waves"));
+            let rendered = doc.render("snapshot");
+            assert!(rendered.contains("## counters"));
+            assert!(rendered.contains("waves"));
+            // trace-tools always builds alphonse with its default features,
+            // so the wiring is live and the snapshot carries real waves.
+            let (_, waves) = doc.counters.iter().find(|(n, _)| n == "waves").unwrap();
+            assert!(*waves >= 5);
+            let (_, h) = doc
+                .histograms
+                .iter()
+                .find(|(n, _)| n == "wave_latency_ns")
+                .unwrap();
+            assert!(h.count() >= 5);
+            assert!(rendered.contains("p99="));
+            let names: Vec<&str> = doc.histograms.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(names, ["wave_latency_ns", "wave_executed", "wave_wasted"]);
+            assert!(!rendered.contains("level_width "), "{rendered}");
+        }
+        // The committed snapshot keeps every counter, in document order,
+        // and its exact wave percentiles.
+        let doc = MetricsDoc::parse(E9_SNAPSHOT).unwrap();
+        assert_eq!(doc.counters.len(), 29);
+        assert_eq!(doc.counters[0], ("executions".to_string(), 142_188));
+        assert!(doc.counters.contains(&("waves".to_string(), 8)));
         let rendered = doc.render("snapshot");
-        assert!(rendered.contains("## counters"));
-        assert!(rendered.contains("waves"));
-        // trace-tools always builds alphonse with its default features, so
-        // the wiring is live and the snapshot carries real waves.
-        let (_, waves) = doc.counters.iter().find(|(n, _)| n == "waves").unwrap();
-        assert!(*waves >= 5);
-        let (_, h) = doc
-            .histograms
-            .iter()
-            .find(|(n, _)| n == "wave_latency_ns")
-            .unwrap();
-        assert!(h.count() >= 5);
-        assert!(rendered.contains("p99="));
+        for line in [
+            "wave_latency_ns    n=8       mean=3.7ms     p50=54.6µs    p90=27.2ms    p99=27.2ms    max=27.2ms",
+            "wave_executed      n=8       mean=17604     p50=170       p90=131328    p99=131328    max=131328",
+            "wave_wasted        n=8       mean=0         p50=0         p90=0         p99=0         max=0",
+        ] {
+            assert!(rendered.contains(line), "missing `{line}` in:\n{rendered}");
+        }
     }
 
     #[test]
@@ -424,8 +401,7 @@ mod tests {
         assert!(MetricsDoc::parse("{\"schema\":\"other\"}").is_err());
         assert!(MetricsDoc::parse("{}").is_err());
         let bad = "{\"schema\":\"alphonse-metrics-v1\",\"counters\":{},\"histograms\":{\
-                   \"h\":{\"count\":2,\"sum\":1,\"max\":1,\"buckets\":[[1,1]]}},\
-                   \"gauges\":{\"queue_depth\":0,\"queue_depth_hwm\":0},\"workers\":[]}";
+                   \"h\":{\"count\":2,\"sum\":1,\"max\":1,\"buckets\":[[1,1]]}}}";
         let err = MetricsDoc::parse(bad).unwrap_err();
         assert!(err.contains("declared count"), "got: {err}");
     }
@@ -434,7 +410,6 @@ mod tests {
     fn parses_and_renders_mem_section() {
         let text = "{\"schema\":\"alphonse-metrics-v1\",\
                     \"counters\":{\"mem_nodes\":4},\"histograms\":{},\
-                    \"gauges\":{\"queue_depth\":0,\"queue_depth_hwm\":0},\"workers\":[],\
                     \"mem\":{\"graph_core\":{\"live_bytes\":4096,\"live_allocs\":3,\
                     \"hwm_bytes\":8192,\"total_allocs\":10},\
                     \"value_slab\":{\"live_bytes\":64,\"live_allocs\":4,\

@@ -142,16 +142,6 @@ fn parse_event(obj: &Json, label: Option<&str>, line: usize) -> Result<TraceEven
             wave: field_u64(obj, "wave", line)?,
             steps: field_u64(obj, "steps", line)?,
         },
-        "LevelBegin" => TraceEvent::LevelBegin {
-            wave: field_u64(obj, "wave", line)?,
-            height: field_u64(obj, "height", line)? as u32,
-            width: field_u64(obj, "width", line)?,
-        },
-        "LevelEnd" => TraceEvent::LevelEnd {
-            wave: field_u64(obj, "wave", line)?,
-            height: field_u64(obj, "height", line)? as u32,
-            executed: field_u64(obj, "executed", line)?,
-        },
         "ExecuteBegin" => TraceEvent::ExecuteBegin {
             node: node("node")?,
         },
@@ -306,33 +296,6 @@ mod tests {
         assert_eq!(chain.write, Some((NodeId::from_index(0), true)));
         assert_eq!(chain.exec, Some(true));
         assert_eq!(prov.node_by_label("a"), Some(NodeId::from_index(0)));
-    }
-
-    #[test]
-    fn parses_level_brackets() {
-        let text = r#"{"meta":{"format":"alphonse-trace","version":1,"dropped":0}}
-{"ts":0,"wave":3,"ev":"PropagateBegin"}
-{"ts":1,"wave":3,"ev":"LevelBegin","height":2,"width":5}
-{"ts":2,"wave":3,"ev":"LevelEnd","height":2,"executed":4}
-{"ts":3,"wave":3,"ev":"PropagateEnd","steps":5}
-"#;
-        let tf = TraceFile::parse(text).unwrap();
-        assert_eq!(
-            tf.records[1].event,
-            TraceEvent::LevelBegin {
-                wave: 3,
-                height: 2,
-                width: 5
-            }
-        );
-        assert_eq!(
-            tf.records[2].event,
-            TraceEvent::LevelEnd {
-                wave: 3,
-                height: 2,
-                executed: 4
-            }
-        );
     }
 
     #[test]

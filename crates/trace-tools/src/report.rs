@@ -65,16 +65,6 @@ pub struct WaveStats {
     pub depth: usize,
     /// That longest chain, origin first, rendered with labels.
     pub critical_path: Vec<String>,
-    /// Height levels drained by the level scheduler (`LevelBegin` events).
-    /// Zero for sequential runs, which emit no level brackets.
-    pub levels: usize,
-    /// Widest level batch of the wave — the parallelism actually available.
-    pub level_width_max: u64,
-    /// Executor runs the level brackets account for (sum of `LevelEnd`
-    /// `executed` fields). When the wave ran level-parallel this must equal
-    /// [`WaveStats::executed`] minus nested re-executions — the legality
-    /// check that every execution happened inside exactly one level.
-    pub level_executed: u64,
 }
 
 /// All waves of a trace plus the work done outside any wave.
@@ -127,9 +117,6 @@ pub fn waves(tf: &TraceFile) -> WavesReport {
                     steps: None,
                     depth: 0,
                     critical_path: Vec::new(),
-                    levels: 0,
-                    level_width_max: 0,
-                    level_executed: 0,
                 };
                 depth.clear();
                 for (node, cause) in pending.drain(..) {
@@ -169,17 +156,6 @@ pub fn waves(tf: &TraceFile) -> WavesReport {
             TraceEvent::CacheHit { .. } => {
                 if let Some(stats) = current.as_mut() {
                     stats.cache_hits += 1;
-                }
-            }
-            TraceEvent::LevelBegin { width, .. } => {
-                if let Some(stats) = current.as_mut() {
-                    stats.levels += 1;
-                    stats.level_width_max = stats.level_width_max.max(*width);
-                }
-            }
-            TraceEvent::LevelEnd { executed, .. } => {
-                if let Some(stats) = current.as_mut() {
-                    stats.level_executed += *executed;
                 }
             }
             _ => {}
@@ -240,13 +216,6 @@ pub fn waves_report(tf: &TraceFile) -> String {
             "wave {}: dirtied {}, executed {} ({} changed), cutoffs {}, cache hits {}, steps {}, depth {}",
             w.wave, w.dirtied, w.executed, w.changed, w.cutoffs, w.cache_hits, steps, w.depth
         );
-        if w.levels > 0 {
-            let _ = writeln!(
-                out,
-                "  levels: {} (max width {}, {} executed in levels)",
-                w.levels, w.level_width_max, w.level_executed
-            );
-        }
         if !w.critical_path.is_empty() {
             let _ = writeln!(out, "  critical path: {}", w.critical_path.join(" -> "));
         }
@@ -393,47 +362,6 @@ mod tests {
         assert_eq!(w.steps, Some(3));
         assert_eq!(w.depth, 3);
         assert_eq!(w.critical_path, vec!["a (n0)", "n2", "top (n1)"]);
-    }
-
-    const LEVEL_SAMPLE: &str = r#"{"meta":{"format":"alphonse-trace","version":1,"dropped":0}}
-{"ts":0,"ev":"Dirtied","node":0,"reason":"WriteChanged"}
-{"ts":1,"wave":1,"ev":"PropagateBegin"}
-{"ts":2,"wave":1,"ev":"LevelBegin","height":0,"width":1}
-{"ts":3,"wave":1,"ev":"Dirtied","node":1,"reason":"Fanout","cause":0}
-{"ts":4,"wave":1,"ev":"Dirtied","node":2,"reason":"Fanout","cause":0}
-{"ts":5,"wave":1,"ev":"LevelEnd","height":0,"executed":0}
-{"ts":6,"wave":1,"ev":"LevelBegin","height":1,"width":2}
-{"ts":7,"wave":1,"ev":"ExecuteEnd","node":1,"changed":true}
-{"ts":8,"wave":1,"ev":"ExecuteEnd","node":2,"changed":true}
-{"ts":9,"wave":1,"ev":"LevelEnd","height":1,"executed":2}
-{"ts":10,"wave":1,"ev":"PropagateEnd","steps":3}
-"#;
-
-    #[test]
-    fn waves_reports_level_structure() {
-        let tf = TraceFile::parse(LEVEL_SAMPLE).unwrap();
-        let r = waves(&tf);
-        assert_eq!(r.waves.len(), 1);
-        let w = &r.waves[0];
-        assert_eq!(w.levels, 2);
-        assert_eq!(w.level_width_max, 2);
-        assert_eq!(w.executed, 2);
-        assert_eq!(
-            w.level_executed, w.executed as u64,
-            "every execution of a level-parallel wave happens inside a level"
-        );
-        let text = waves_report(&tf);
-        assert!(text.contains("levels: 2 (max width 2"), "{text}");
-    }
-
-    #[test]
-    fn sequential_waves_report_zero_levels() {
-        let tf = TraceFile::parse(SAMPLE).unwrap();
-        let r = waves(&tf);
-        assert_eq!(r.waves[0].levels, 0);
-        assert_eq!(r.waves[0].level_width_max, 0);
-        let text = waves_report(&tf);
-        assert!(!text.contains("levels:"), "{text}");
     }
 
     #[test]

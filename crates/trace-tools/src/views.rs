@@ -21,9 +21,8 @@ fn slot<T: Default>(table: &mut Vec<T>, n: NodeId) -> &mut T {
 }
 
 /// Removes the innermost open frame of `node` from `stack`, returning its
-/// position and payload. In a sequential trace that is the top of the
-/// stack. A level-parallel wave begins every execution of a level before
-/// committing them in order, so there it is the oldest frame.
+/// position and payload. In a well-nested trace that is the top of the
+/// stack; searching down from it tolerates an end without a begin.
 fn close<F>(stack: &mut Vec<(NodeId, F)>, node: NodeId) -> Option<(usize, F)> {
     let i = stack.iter().rposition(|(n, _)| *n == node)?;
     Some((i, stack.remove(i).1))
@@ -37,7 +36,7 @@ fn close<F>(stack: &mut Vec<(NodeId, F)>, node: NodeId) -> Option<(usize, F)> {
 /// `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 ///
 /// Executions and propagation runs become duration (`B`/`E`) spans; writes,
-/// dirtyings, cache hits, cutoffs, level starts and batch commits become
+/// dirtyings, cache hits, cutoffs and batch commits become
 /// instant (`i`) events. Reads and new edges are not emitted one by one:
 /// each execution span's `args` tallies the reads and edges delivered
 /// while it was the innermost open execution, so a nested call's reads are
@@ -92,18 +91,6 @@ pub fn chrome(tf: &TraceFile) -> String {
             TraceEvent::PropagateEnd { wave, steps } => {
                 end(format!(r#""wave":{wave},"steps":{steps}"#))
             }
-            // Executions within a level may overlap in time, which
-            // single-track B/E pairing cannot show; levels export as
-            // instants so the execution spans keep pairing up.
-            TraceEvent::LevelBegin {
-                wave,
-                height,
-                width,
-            } => instant(
-                &format!("level h{height}"),
-                "level",
-                format!(r#""wave":{wave},"height":{height},"width":{width}"#),
-            ),
             TraceEvent::ExecuteBegin { node } => {
                 open.push((*node, (0, 0)));
                 format!(
@@ -132,8 +119,8 @@ pub fn chrome(tf: &TraceFile) -> String {
                 "batch",
                 format!(r#""writes":{writes},"coalesced":{coalesced},"wave":{wave}"#),
             ),
-            // Node creation, labels, edge removals and level ends have no
-            // record of their own.
+            // Node creation, labels and edge removals have no record of
+            // their own.
             _ => continue,
         };
         records.push(record);
